@@ -2,8 +2,9 @@
 
 Every subcommand prints a single JSON document on stdout (integers as
 decimal strings), diagnostics go to stderr, and the exit code is 0 iff
-the status is ok.  ``THREADS`` caps internal parallelism; the current
-implementation is sequential, so it is accepted and recorded only.
+the status is ok.  Bad input gets a typed status and exit code 1; an
+argument outside a function's domain (such as ``descent --N 1`` or a
+negative ``--bound``) gives ``domain_error``.
 
 Subcommands:
 
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
+from .arith import ArithDomainError
 from .curves import Curve, Point, on_curve
 from .descent import rank_lower_bound
 from .families import (
@@ -115,8 +116,8 @@ def cmd_theorem1(args) -> int:
         raise CliError("degenerate", str(exc)) from exc
     curve = p1.curve
     N = -curve.b
-    reg = regulator_report([p1, p2])
     descent = rank_lower_bound(N, args.bound, extra_points=[p1, p2])
+    reg = regulator_report([p1, p2])
     payload = {
         "curve": {"a2": "0", "b": str(curve.b)},
         "N": str(N),
@@ -140,8 +141,8 @@ def cmd_theorem2(args) -> int:
     except DegenerateSpecializationError as exc:
         raise CliError("degenerate", str(exc)) from exc
     N = -curve.b
-    reg = regulator_report(points)
     descent = rank_lower_bound(N, args.bound, extra_points=points)
+    reg = regulator_report(points)
     payload = {
         "u": str(u),
         "curve": {"a2": "0", "b": str(curve.b)},
@@ -194,11 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="biquad",
         description="Rank witnesses for y^2 = x^3 - N*x with N a sum of two fourth powers",
     )
-    ap.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
 
     p = sub.add_parser("verify-identities", help="run the symbolic identity suite")
@@ -240,22 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(status: str, exc: Exception, exit_code: int = 1) -> int:
+    json.dump({"status": status, "error": str(exc)}, sys.stdout)
+    sys.stdout.write("\n")
+    print(f"error: {exc}", file=sys.stderr)
+    return exit_code
+
+
 def main(argv=None) -> int:
-    # THREADS caps internal parallelism; recorded for forward compatibility
-    _ = os.environ.get("THREADS")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        json.dump({"status": exc.code, "error": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc.code, exc)
+    except ArithDomainError as exc:
+        return _fail("domain_error", exc)
     except Exception as exc:  # pragma: no cover - unexpected failure path
-        json.dump({"status": "internal_error", "error": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("internal_error", exc, 2)
 
 
 if __name__ == "__main__":

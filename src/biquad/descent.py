@@ -17,7 +17,6 @@ from fractions import Fraction
 from .arith import (
     ArithDomainError,
     SquareClass,
-    square_class_mul,
     squarefree_divisors,
     squarefree_kernel,
 )
@@ -123,20 +122,15 @@ class DescentReport:
 
 
 def _subgroup(classes: set[int]) -> set[int]:
-    """Closure of a set of square classes under multiplication."""
-    group = {1}
-    frontier = {SquareClass(c) for c in classes}
-    changed = True
-    while changed:
-        changed = False
-        current = {SquareClass(c) for c in group}
-        for g in list(current):
-            for f in frontier:
-                r = square_class_mul(g, f).rep
-                if r not in group:
-                    group.add(r)
-                    changed = True
-    return group
+    """Closure of a set of square classes under multiplication.
+
+    Each generator outside the group so far doubles it by adding its coset.
+    """
+    group = {SquareClass(1)}
+    for c in map(SquareClass, classes):
+        if c not in group:
+            group |= {g * c for g in group}
+    return {g.rep for g in group}
 
 
 def _point_classes(points, expect_b: int) -> set[int]:
@@ -166,16 +160,19 @@ def rank_lower_bound(
     """
     if N < 2:
         raise ArithDomainError("N must be at least 2")
+    if height_bound < 0:
+        raise ArithDomainError("height bound must be non-negative")
     b_e, b_e4 = -N, 4 * N
 
-    sols_e = [s for s in search_solutions(b_e, height_bound)]
-    sols_e4 = [s for s in search_solutions(b_e4, height_bound)]
+    sols_e = search_solutions(b_e, height_bound)
+    sols_e4 = search_solutions(b_e4, height_bound)
 
-    classes_e = {squarefree_kernel(s.d).rep for s in sols_e if s.h_val != 0}
+    # each solution's d is a signed squarefree divisor: its own class
+    classes_e = {s.d for s in sols_e if s.h_val != 0}
     classes_e.add(squarefree_kernel(b_e).rep)
     classes_e |= _point_classes(extra_points, b_e)
 
-    classes_e4 = {squarefree_kernel(s.d).rep for s in sols_e4 if s.h_val != 0}
+    classes_e4 = {s.d for s in sols_e4 if s.h_val != 0}
     classes_e4.add(squarefree_kernel(b_e4).rep)
 
     group_e = _subgroup(classes_e)

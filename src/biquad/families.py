@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .arith import ArithDomainError
 from .curves import Curve, Point
-from .poly import BivarPoly, RatFunc, poly_sqrt, univariate
+from .poly import BivarPoly, RatFunc, univariate
 
 U = ("u",)
 UW = ("u", "w")
@@ -57,10 +57,6 @@ def euler_quadruple() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:
     c = _uw({(7, 0): 1, (5, 2): 1, (3, 4): -2, (2, 5): -3, (1, 6): 1})
     d = _uw({(6, 1): 1, (5, 2): 3, (4, 3): -2, (2, 5): 1, (0, 7): 1})
     return a, b, c, d
-
-
-def euler_quadruple_at_w1() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:
-    return tuple(p.substitute_last(1) for p in euler_quadruple())
 
 
 def euler_n_factors() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class PolyUsageError(ValueError):
@@ -45,15 +45,6 @@ class BivarPoly:
         e = [0] * len(vars)
         e[list(vars).index(name)] = 1
         return cls(vars, {tuple(e): 1})
-
-    @classmethod
-    def from_string_terms(cls, vars, terms: Iterable[tuple]) -> "BivarPoly":
-        """terms: iterable of (coef, exp_tuple)."""
-        d: dict = {}
-        for c, e in terms:
-            e = tuple(e)
-            d[e] = d.get(e, 0) + c
-        return cls(vars, d)
 
     # -- ring operations ----------------------------------------------
 
@@ -220,43 +211,6 @@ def univariate(name: str, coeffs: Sequence[int]) -> BivarPoly:
     return BivarPoly((name,), {(i,): c for i, c in enumerate(coeffs)})
 
 
-def poly_sqrt(p: BivarPoly) -> BivarPoly | None:
-    """Integer-coefficient square root of a univariate polynomial, or None.
-
-    Coefficient matching from the top; used to certify that a quartic-space
-    left side is an exact square.
-    """
-    if len(p.vars) != 1:
-        raise PolyUsageError("poly_sqrt handles univariate polynomials only")
-    if p.is_zero:
-        return BivarPoly.zero(p.vars)
-    deg = p.degree()
-    if deg % 2:
-        return None
-    coeffs = [p.coeffs.get((i,), 0) for i in range(deg + 1)]
-    lead = coeffs[-1]
-    r = math.isqrt(abs(lead))
-    if lead < 0 or r * r != lead:
-        return None
-    half = deg // 2
-    root = [0] * (half + 1)
-    root[half] = r
-    for i in range(half - 1, -1, -1):
-        # coefficient of x^(i+half) in root^2 must match
-        acc = sum(root[j] * root[i + half - j] for j in range(i + 1, half + 1))
-        num = coeffs[i + half] - acc
-        if num % (2 * r):
-            return None
-        root[i] = num // (2 * r)
-    candidate = univariate(p.vars[0], root)
-    if candidate * candidate == p:
-        return candidate
-    if candidate * candidate == -1 * p:
-        return None
-    # try the other sign pattern via -root (same square), so failure is final
-    return None
-
-
 class RatFunc:
     """Quotient of integer polynomials in canonical form.
 
@@ -282,10 +236,6 @@ class RatFunc:
             num, den = -num, -den
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: BivarPoly) -> "RatFunc":
-        return cls(p)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):

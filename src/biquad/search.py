@@ -59,17 +59,13 @@ def verify_representation(N: int, r: Representation) -> bool:
 def twin_search(limit: int) -> list[TwinRecord]:
     """All N = a^4 + b^4 with two or more representations, b <= limit.
 
-    Sort-and-scan over the ~limit^2/2 normalized pairs; int64 is enough
-    for limit <= 9700 and a plain-int path covers anything larger.
+    Sort-and-scan over the ~limit^2/2 normalized pairs in int64, which
+    holds every a^4 + b^4 for limit <= 46340; larger limits are rejected.
     """
     if limit < 2:
         raise ArithDomainError("limit must be at least 2")
-    if 2 * limit**4 < 2**63:
-        return _twin_search_numpy(limit)
-    return _twin_search_bigint(limit)
-
-
-def _twin_search_numpy(limit: int) -> list[TwinRecord]:
+    if 2 * limit**4 >= 2**63:
+        raise ArithDomainError("limit must be at most 46340 (int64 range)")
     fourths = np.arange(limit + 1, dtype=np.int64) ** 4
     values = []
     pairs = []
@@ -99,19 +95,6 @@ def _twin_search_numpy(limit: int) -> list[TwinRecord]:
     return records
 
 
-def _twin_search_bigint(limit: int) -> list[TwinRecord]:
-    seen: dict[int, list[Representation]] = {}
-    for a in range(1, limit + 1):
-        a4 = a**4
-        for b in range(a, limit + 1):
-            seen.setdefault(a4 + b**4, []).append(Representation(a, b))
-    return [
-        TwinRecord(n, tuple(sorted(reps, key=lambda r: (r.a, r.b))))
-        for n, reps in sorted(seen.items())
-        if len(reps) >= 2
-    ]
-
-
 def euler_membership_scan(u_limit: int) -> list[TwinRecord]:
     """Twin records from the degree-7 quadruple at integer u in [2, u_limit]."""
     if u_limit < 2:
@@ -132,23 +115,6 @@ def euler_membership_scan(u_limit: int) -> list[TwinRecord]:
         records.append(TwinRecord(n, reps))
     records.sort(key=lambda t: t.n)
     return records
-
-
-def common_fourth_power_factor(record: TwinRecord) -> int:
-    """Largest t with t^4 | N and t | every representation entry.
-
-    Twin N values sometimes differ only by a fourth-power factor; this
-    detects the reduction without deduplicating anything.
-    """
-    import math
-
-    g = 0
-    for r in record.representations:
-        g = math.gcd(g, math.gcd(r.a, r.b))
-    for t in range(g, 0, -1):
-        if g % t == 0 and record.n % t**4 == 0:
-            return t
-    return 1
 
 
 # ---------------------------------------------------------------------------

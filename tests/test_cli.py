@@ -181,6 +181,25 @@ class TestHeight:
         assert doc["status"] == "parse_error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("descent", "--N", "1"),
+        ("descent", "--N", "-5"),
+        ("search", "--limit", "1"),
+        ("search", "--limit", "46341"),
+        ("theorem1", "--m", "2", "--n", "1", "--bound", "-1"),
+        ("theorem2", "--u", "2", "--bound", "-1"),
+        ("descent", "--N", "17", "--bound", "-1"),
+    ],
+)
+def test_domain_error(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "domain_error"
+    assert doc["error"]
+
+
 class TestOutputContract:
     def test_single_json_document(self, capsys):
         main(["search", "--limit", "200"])

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from biquad.arith import ArithDomainError, squarefree_kernel
 from biquad.curves import Curve, CurveUsageError, on_curve
 from biquad.descent import (
     HomSpaceSolution,
+    _subgroup,
     lift_to_point,
     rank_lower_bound,
     search_solutions,
@@ -16,8 +19,6 @@ from biquad.families import euler_family_points, specialize_euler
 
 def exhaustive_oracle(B, bound):
     """Independent brute-force enumeration over all divisor classes."""
-    import itertools
-
     from biquad.arith import squarefree_divisors
 
     hits = set()
@@ -149,3 +150,17 @@ class TestRankLowerBound:
     def test_small_n_rejected(self):
         with pytest.raises(ArithDomainError):
             rank_lower_bound(1, 3)
+
+
+# squarefree nonzero integers: a set of distinct primes, optionally with -1
+squarefree = st.sets(st.sampled_from([-1, 2, 3, 5, 7, 11, 13])).map(math.prod)
+
+
+@given(st.lists(squarefree, max_size=6))
+def test_subgroup_is_all_subset_products(gens):
+    expected = {
+        squarefree_kernel(math.prod(sub)).rep
+        for r in range(len(gens) + 1)
+        for sub in itertools.combinations(gens, r)
+    }
+    assert _subgroup(set(gens)) == expected

@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from biquad.curves import Curve, add, scalar_mul
 from biquad.heights import (
     GramMatrix,
     HeightUsageError,
+    _curve_constants,
     canonical_height,
     gram_matrix,
     height_pairing,
@@ -15,6 +18,7 @@ from biquad.heights import (
     regulator,
     regulator_report,
 )
+from biquad.poly import BivarPoly
 from conftest import family_curve_points, random_family_point
 
 E17 = Curve(0, -17)
@@ -176,3 +180,50 @@ class TestRegulator:
             "rank_lower_bound",
         }
         assert rep["rank_lower_bound"] == 2
+
+
+class TestCurveConstants:
+    def test_bezout_identities(self):
+        xb = ("x", "b")
+        x, b = BivarPoly.var(xb, "x"), BivarPoly.var(xb, "b")
+        f, g = (x**2 - b) ** 2, 4 * x * (x**2 + b)
+        assert 4 * (3 * x**2 + 4 * b) * f - x * (3 * x**2 - 5 * b) * g == 16 * b**3
+        # reversed forms in y = v/u, written in x
+        fr, gr = (1 - b * x**2) ** 2, 4 * x * (1 + b * x**2)
+        assert 4 * (3 * b * x**2 + 4) * fr - b * x * (3 * b * x**2 - 5) * gr == 16
+
+    @staticmethod
+    def extgcd_oracle(b):
+        """(D, log D, log_bound) from sympy's extended gcd of the duplication
+        forms and their reversals, with denominators cleared by an lcm."""
+        x = sympy.Symbol("x")
+        d_const, bounds = 1, []
+        for f, g in (
+            ([1, 0, -2 * b, 0, b * b], [4, 0, 4 * b, 0]),
+            ([b * b, 0, -2 * b, 0, 1], [4 * b, 0, 4, 0]),
+        ):
+            f, g = (sympy.Poly(p, x, domain="QQ") for p in (f, g))
+            s, t, h = f.gcdex(g)
+            assert h.as_expr() == 1
+            coeffs = s.all_coeffs() + t.all_coeffs()
+            r = math.lcm(*(int(sympy.Rational(c).q) for c in coeffs))
+            k = sum(abs(int(c * r)) for c in coeffs)
+            d_const *= r
+            bounds.append(Fraction(r, k))
+        c_low = min(bounds)
+        c_up = max((1 + abs(b)) ** 2, 4 * (1 + abs(b)))
+        log_bound = max(
+            log_big(c_up), abs(log_big(c_low.numerator) - log_big(c_low.denominator))
+        )
+        return d_const, log_big(d_const), log_bound
+
+    def test_closed_form_matches_extgcd_small(self):
+        for b in range(-300, 301):
+            if b:
+                assert _curve_constants(b) == self.extgcd_oracle(b), b
+
+    def test_closed_form_matches_extgcd_large(self):
+        rng = random.Random(20261017)
+        for _ in range(40):
+            b = rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randint(2, 40))
+            assert _curve_constants(b) == self.extgcd_oracle(b), b

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from biquad.poly import BivarPoly, PolyUsageError, RatFunc, poly_sqrt, univariate
+from biquad.poly import BivarPoly, PolyUsageError, RatFunc, univariate
 
 MN = ("m", "n")
 
@@ -58,13 +58,6 @@ def test_json_round_trip():
         {"exp": [0, 0], "coef": "7"},
         {"exp": [2, 1], "coef": "-3"},
     ]
-
-
-def test_poly_sqrt():
-    r = univariate("u", [-5, 0, 4, 3])
-    assert poly_sqrt(r * r) == r or poly_sqrt(r * r) == -r
-    assert poly_sqrt(univariate("u", [1, 1])) is None
-    assert poly_sqrt(r * r + 1) is None
 
 
 class TestRatFunc:
