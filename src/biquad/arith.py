@@ -145,17 +145,6 @@ class SquareClass:
         return square_class_mul(self, other)
 
 
-def _squarefree_part(n: int) -> int:
-    """Squarefree kernel of a nonzero integer, sign preserved."""
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            out *= p
-    return sign * out
-
-
 def squarefree_kernel(q) -> SquareClass:
     """The unique squarefree s with q = s * (rational square).
 
@@ -163,9 +152,27 @@ def squarefree_kernel(q) -> SquareClass:
     is reduced to the integer a*b, which is congruent to it mod squares.
     """
     q = Fraction(q)
+    return SquareClass(kernel_over(q, factorize(abs(q.numerator * q.denominator))))
+
+
+def kernel_over(q, primes) -> int:
+    """The squarefree s with q = s * (rational square), read off primes.
+
+    Raises ArithDomainError if a prime outside primes divides q to an odd power.
+    """
+    q = Fraction(q)
     if q == 0:
         raise ArithDomainError("zero has no square class")
-    return SquareClass(_squarefree_part(q.numerator * q.denominator))
+    rest, s = abs(q.numerator * q.denominator), -1 if q < 0 else 1
+    for p in primes:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        s *= p if e % 2 else 1
+    if not is_perfect_square(rest):
+        raise ArithDomainError(f"{q} is not a square times a product of {list(primes)}")
+    return s
 
 
 def square_class_mul(a: SquareClass, b: SquareClass) -> SquareClass:
@@ -174,13 +181,3 @@ def square_class_mul(a: SquareClass, b: SquareClass) -> SquareClass:
     # n = (n/g^2) * g^2 and n/g^2 is squarefree when a.rep, b.rep are
     return SquareClass(n // (g * g))
 
-
-def squarefree_divisors(n: int) -> list[int]:
-    """Positive squarefree divisors of |n|, sorted ascending."""
-    if n == 0:
-        raise ArithDomainError("zero has no divisors")
-    primes = list(factorize(abs(n)))
-    divs = [1]
-    for p in primes:
-        divs += [d * p for d in divs]
-    return sorted(divs)

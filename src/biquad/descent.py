@@ -2,10 +2,13 @@
 
 For y^2 = x^3 + B*x, each squarefree divisor d of B (either sign) gives
 the space d*U^4 + (B/d)*V^4 = H^2; a solution with H != 0 lifts to the
-rational point (d*U^2/V^2, d*U*H/V^3).  The images of the descent maps on
-the curve and its associated curve are subgroups of Q*/(Q*)^2; if their
-found sizes are s and s', then rank >= log2(s*s') - 2.  Found classes can
-only undercount the true images, so the bound is always valid.
+rational point (d*U^2/V^2, d*U*H/V^3), and every rational point with
+x != 0 has x = d * (square) with such a d (Silverman-Tate, III.5-6).  So
+every square class comes from the primes of B = -N or 4N: N is the only
+integer the descent factors.  The images of the descent maps on the curve
+and its associated curve are subgroups of Q*/(Q*)^2; if their found sizes
+are s and s', then rank >= log2(s*s') - 2.  Found classes can only
+undercount the true images, so the bound is always valid.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import (
-    ArithDomainError,
-    SquareClass,
-    squarefree_divisors,
-    squarefree_kernel,
-)
-from .curves import Curve, CurveUsageError, Point
+from . import arith
+from .arith import ArithDomainError, SquareClass, kernel_over
+from .curves import Curve, CurveUsageError, Point, on_curve
 
 
 @dataclass(frozen=True)
@@ -67,20 +66,24 @@ def lift_to_point(B: int, s: HomSpaceSolution) -> Point:
     return curve.point(x, y)
 
 
-def search_solutions(B: int, height_bound: int) -> list[HomSpaceSolution]:
+def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution]:
     """All solutions with coprime 0 <= u, 1 <= v, max(u, v) <= bound.
 
-    u < 0 duplicates u > 0 (fourth powers), so only u >= 0 is emitted.
+    d runs over the signed products of distinct primes, each of which must
+    divide B; pass all primes of B to search every space.  u < 0
+    duplicates u > 0 (fourth powers), so only u >= 0 is emitted.
     Deterministic order: |d| ascending, positive d before negative,
     then u, then v.
     """
     if B == 0:
         raise ArithDomainError("B must be nonzero")
+    if any(p < 2 or B % p for p in primes):
+        raise ArithDomainError(f"not all of {list(primes)} divide B = {B}")
     out: list[HomSpaceSolution] = []
-    divisors = []
-    for d0 in squarefree_divisors(B):
-        divisors += [d0, -d0]
-    divisors.sort(key=lambda d: (abs(d), d < 0))
+    divisors = [1]
+    for p in set(primes):
+        divisors += [d * p for d in divisors]
+    divisors = sorted(divisors + [-d for d in divisors], key=lambda d: (abs(d), d < 0))
     for d in divisors:
         comp = B // d
         for u in range(0, height_bound + 1):
@@ -133,7 +136,7 @@ def _subgroup(classes: set[int]) -> set[int]:
     return {g.rep for g in group}
 
 
-def _point_classes(points, expect_b: int) -> set[int]:
+def _point_classes(points, expect_b: int, primes) -> set[int]:
     classes = set()
     for p in points:
         if p.is_identity:
@@ -142,9 +145,11 @@ def _point_classes(points, expect_b: int) -> set[int]:
             raise CurveUsageError(
                 f"extra point lies on b={p.curve.b}, expected b={expect_b}"
             )
+        if not on_curve(p.curve, p):
+            raise CurveUsageError(f"extra point ({p.x}, {p.y}) is not on the curve")
         if p.x == 0:
             continue  # 2-torsion; its class is that of B, added separately
-        classes.add(squarefree_kernel(p.x).rep)
+        classes.add(kernel_over(p.x, primes))
     return classes
 
 
@@ -163,17 +168,19 @@ def rank_lower_bound(
     if height_bound < 0:
         raise ArithDomainError("height bound must be non-negative")
     b_e, b_e4 = -N, 4 * N
+    primes_e = list(arith.factorize(N))  # via the module, so wrappers see it
+    primes_e4 = sorted({2, *primes_e})
 
-    sols_e = search_solutions(b_e, height_bound)
-    sols_e4 = search_solutions(b_e4, height_bound)
+    sols_e = search_solutions(b_e, height_bound, primes_e)
+    sols_e4 = search_solutions(b_e4, height_bound, primes_e4)
 
     # each solution's d is a signed squarefree divisor: its own class
     classes_e = {s.d for s in sols_e if s.h_val != 0}
-    classes_e.add(squarefree_kernel(b_e).rep)
-    classes_e |= _point_classes(extra_points, b_e)
+    classes_e.add(kernel_over(b_e, primes_e))
+    classes_e |= _point_classes(extra_points, b_e, primes_e)
 
     classes_e4 = {s.d for s in sols_e4 if s.h_val != 0}
-    classes_e4.add(squarefree_kernel(b_e4).rep)
+    classes_e4.add(kernel_over(b_e4, primes_e4))
 
     group_e = _subgroup(classes_e)
     group_e4 = _subgroup(classes_e4)

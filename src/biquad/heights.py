@@ -44,6 +44,7 @@ import mpmath
 from .curves import Curve, CurveUsageError, Point, scalar_mul, add
 
 _DPS = 120
+_TARGET = 1e-12  # absolute error the iteration count aims for
 
 
 class HeightUsageError(CurveUsageError):
@@ -129,7 +130,7 @@ def _is_torsion(p: Point) -> bool:
     return scalar_mul(4, p).is_identity
 
 
-def canonical_height(p: Point, target: float = 1e-12) -> HeightValue:
+def canonical_height(p: Point) -> HeightValue:
     """Canonical height with a certified absolute error bound.
 
     Returns 0 exactly for the identity and for torsion points.  The
@@ -145,7 +146,7 @@ def canonical_height(p: Point, target: float = 1e-12) -> HeightValue:
     d_const, log_d, log_bound = _curve_constants(b)
 
     worst = max(log_d, log_bound)
-    n_iter = max(8, math.ceil(math.log(worst / (3 * target)) / math.log(4)))
+    n_iter = max(8, math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4)))
     n_iter = min(n_iter, 60)
 
     u0 = p.x.numerator

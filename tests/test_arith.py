@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from biquad.arith import (
     ArithDomainError,
@@ -10,8 +11,8 @@ from biquad.arith import (
     factorize,
     is_perfect_square,
     is_probable_prime,
+    kernel_over,
     square_class_mul,
-    squarefree_divisors,
     squarefree_kernel,
 )
 
@@ -124,8 +125,33 @@ class TestPerfectSquare:
         assert not is_perfect_square(-4)
 
 
-def test_squarefree_divisors():
-    assert squarefree_divisors(68) == [1, 2, 17, 34]
-    assert squarefree_divisors(-17) == [1, 17]
-    with pytest.raises(ArithDomainError):
-        squarefree_divisors(0)
+class TestKernelOver:
+    prime_sets = st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 41, 113]))
+    signs = st.sampled_from([1, -1])
+    squares = st.fractions(
+        min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=100
+    ).filter(lambda r: r != 0).map(lambda r: r * r)
+
+    @given(prime_sets, prime_sets, signs, squares)
+    @settings(deadline=None)
+    def test_matches_squarefree_kernel(self, others, used, sign, r2):
+        # s = sign * (product of used) is a signed product of the primes
+        q = sign * math.prod(used) * r2
+        assert kernel_over(q, sorted(others | used)) == squarefree_kernel(q).rep
+
+    @given(
+        prime_sets, signs, squares,
+        st.sampled_from([19, 23, 29, 31, 37, 41, 43]),
+        st.integers(min_value=-3, max_value=3).map(lambda k: 2 * k + 1),
+    )
+    def test_odd_power_of_outside_prime_rejected(self, primes, sign, r2, p, e):
+        assume(p not in primes)
+        q = sign * math.prod(primes) * r2 * Fraction(p) ** e
+        with pytest.raises(ArithDomainError):
+            kernel_over(q, sorted(primes))
+
+    def test_examples(self):
+        assert kernel_over(Fraction(-68, 9), [2, 17]) == -17
+        assert kernel_over(Fraction(49, 8), [2]) == 2
+        with pytest.raises(ArithDomainError):
+            kernel_over(0, [2])

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import biquad.arith
 from biquad.cli import main
 from biquad.curves import Curve, on_curve
 
@@ -198,6 +200,41 @@ def test_domain_error(capsys, argv):
     assert code == 1
     assert doc["status"] == "domain_error"
     assert doc["error"]
+
+
+# full stdout of fixed commands; a refactor must reproduce it byte for byte
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=lambda c: "_".join(a.lstrip("-") for a in c["argv"])
+)
+def test_golden_stdout(capsys, case):
+    code = main(case["argv"])
+    assert code == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorem1", "--m", "133", "--n", "134", "--bound", "100"),
+        ("theorem2", "--u", "5/3"),
+        ("theorem2", "--u", "1/11"),
+    ],
+)
+def test_factorizes_n_once(capsys, monkeypatch, argv):
+    calls = []
+    factorize = biquad.arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(biquad.arith, "factorize", counting)
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [int(doc["N"])]
 
 
 class TestOutputContract:

@@ -1,11 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from biquad.arith import ArithDomainError, squarefree_kernel
-from biquad.curves import Curve, CurveUsageError, on_curve
+from biquad.arith import ArithDomainError, factorize, squarefree_kernel
+from biquad.curves import Curve, CurveUsageError, Point, on_curve
 from biquad.descent import (
     HomSpaceSolution,
     _subgroup,
@@ -19,10 +20,10 @@ from biquad.families import euler_family_points, specialize_euler
 
 def exhaustive_oracle(B, bound):
     """Independent brute-force enumeration over all divisor classes."""
-    from biquad.arith import squarefree_divisors
-
     hits = set()
-    for d0 in squarefree_divisors(B):
+    for d0 in range(1, abs(B) + 1):
+        if B % d0 or any(d0 % (k * k) == 0 for k in range(2, d0 + 1)):
+            continue  # not a squarefree divisor of B
         for d in (d0, -d0):
             for u, v in itertools.product(range(0, bound + 1), range(1, bound + 1)):
                 if math.gcd(u, v) != 1:
@@ -81,25 +82,25 @@ class TestLift:
 class TestSearch:
     def test_matches_oracle_e17(self):
         found = {
-            (s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(-17, 5)
+            (s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(-17, 5, [17])
         }
         assert found == exhaustive_oracle(-17, 5)
         assert (-1, 1, 1, 4) in found
 
     def test_matches_oracle_associated(self):
         found = {
-            (s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(68, 5)
+            (s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(68, 5, [2, 17])
         }
         assert found == exhaustive_oracle(68, 5)
         assert (2, 3, 1, 14) in found
 
     def test_degenerate_b_minus1(self):
-        sols = search_solutions(-1, 1)
+        sols = search_solutions(-1, 1, [])
         assert sols and all(s.d == -1 or s.h_val == 0 for s in sols)
 
     def test_all_verify_and_lift(self):
         for B in (-17, 68, -2, 8):
-            for s in search_solutions(B, 4):
+            for s in search_solutions(B, 4, list(factorize(abs(B)))):
                 assert verify_solution(B, s)
                 if s.h_val != 0 and s.u_val != 0:
                     p = lift_to_point(B, s)
@@ -107,13 +108,18 @@ class TestSearch:
                     assert squarefree_kernel(p.x) == squarefree_kernel(s.d)
 
     def test_deterministic_order(self):
-        sols = search_solutions(-17, 5)
+        sols = search_solutions(-17, 5, [17])
         keys = [(abs(s.d), s.d < 0, s.u_val, s.v_val) for s in sols]
         assert keys == sorted(keys)
 
     def test_zero_b_rejected(self):
         with pytest.raises(ArithDomainError):
-            search_solutions(0, 3)
+            search_solutions(0, 3, [])
+
+    def test_prime_not_dividing_b_rejected(self):
+        for primes in ([3], [2, 17], [17, 1]):
+            with pytest.raises(ArithDomainError):
+                search_solutions(-17, 3, primes)
 
 
 class TestRankLowerBound:
@@ -139,6 +145,13 @@ class TestRankLowerBound:
         p = Curve(0, -2).point(-1, 1)
         with pytest.raises(CurveUsageError):
             rank_lower_bound(17, 3, extra_points=[p])
+
+    def test_off_curve_point_rejected(self):
+        # (2, 1) is not on y^2 = x^3 - 17x; counting its class 2 would
+        # raise the bound to 3, above the true rank 2
+        p = Point(Curve(0, -17), Fraction(2), Fraction(1))
+        with pytest.raises(CurveUsageError):
+            rank_lower_bound(17, 10, extra_points=[p])
 
     def test_json_format(self):
         obj = rank_lower_bound(17, 10).to_json()
