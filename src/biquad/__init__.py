@@ -45,7 +45,6 @@ from .heights import (
     canonical_height,
     height_pairing,
     naive_height,
-    regulator,
     regulator_report,
 )
 from .poly import BivarPoly, RatFunc

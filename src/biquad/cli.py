@@ -83,7 +83,7 @@ def _load_points_file(path: str, curve: Curve) -> list[Point]:
         try:
             obj = json.loads(line)
             p = Point.from_json(obj, curve=curve)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise CliError("parse_error", f"{path}:{i}: {exc}") from exc
         if not on_curve(p.curve, p):
             raise CliError("not_on_curve", f"{path}:{i}: point not on {p.curve}")

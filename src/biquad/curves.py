@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .arith import ArithDomainError, is_perfect_square
@@ -129,8 +130,9 @@ def scalar_mul(k: int, p: Point) -> Point:
     while k:
         if k & 1:
             acc = add(acc, p)
-        p = add(p, p)
         k >>= 1
+        if k:
+            p = add(p, p)
     return acc
 
 
@@ -143,13 +145,12 @@ class TorsionKind(enum.Enum):
 def torsion_kind(b: int) -> TorsionKind:
     """Torsion group of y^2 = x^3 + b*x (a2 = 0).
 
-    Z/4Z only for b = 4, full 2-torsion when -b is a perfect square,
-    Z/2Z otherwise.  For b = -(m^4 + n^4) the answer is always Z/2Z
-    because m^4 + n^4 is never a perfect square.
+    Z/4Z iff b = 4t^4 (order 4 needs x^2 = b and y^2 = 2x^3, so x = 2t^2);
+    Z/2Z x Z/2Z iff -b is a square; else Z/2Z, as for every b = -(m^4 + n^4).
     """
     if b == 0:
         raise ArithDomainError("b = 0 gives a singular curve")
-    if b == 4:
+    if b % 4 == 0 and is_perfect_square(b // 4) and is_perfect_square(isqrt(b // 4)):
         return TorsionKind.Z4
     if b < 0 and is_perfect_square(-b):
         return TorsionKind.Z2XZ2

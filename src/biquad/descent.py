@@ -84,19 +84,22 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
     for p in set(primes):
         divisors += [d * p for d in divisors]
     divisors = sorted(divisors + [-d for d in divisors], key=lambda d: (abs(d), d < 0))
+    fourth = [k**4 for k in range(height_bound + 1)]
+    coprime = [[v for v in range(1, height_bound + 1) if math.gcd(u, v) == 1]
+               for u in range(height_bound + 1)]
     for d in divisors:
         comp = B // d
-        for u in range(0, height_bound + 1):
-            du4 = d * u**4
-            for v in range(1, height_bound + 1):
-                if math.gcd(u, v) != 1:
-                    continue
-                lhs = du4 + comp * v**4
-                if lhs < 0:
-                    continue
-                h = math.isqrt(lhs)
-                if h * h == lhs:
-                    out.append(HomSpaceSolution(d, u, v, h))
+        comp4 = [comp * f for f in fourth]
+        for u, vs in enumerate(coprime):
+            du4 = d * fourth[u]
+            for v in vs:
+                lhs = du4 + comp4[v]
+                if lhs >= 0:
+                    h = math.isqrt(lhs)
+                    if h * h == lhs:
+                        out.append(HomSpaceSolution(d, u, v, h))
+                elif comp < 0:
+                    break  # lhs only falls as v grows
     return out
 
 
@@ -175,14 +178,9 @@ def rank_lower_bound(
     sols_e4 = search_solutions(b_e4, height_bound, primes_e4)
 
     # each solution's d is a signed squarefree divisor: its own class
-    classes_e = {s.d for s in sols_e if s.h_val != 0}
-    classes_e.add(kernel_over(b_e, primes_e))
-    classes_e |= _point_classes(extra_points, b_e, primes_e)
-
-    classes_e4 = {s.d for s in sols_e4 if s.h_val != 0}
-    classes_e4.add(kernel_over(b_e4, primes_e4))
-
-    group_e = _subgroup(classes_e)
+    classes_e = {s.d for s in sols_e if s.h_val != 0} | {kernel_over(b_e, primes_e)}
+    classes_e4 = {s.d for s in sols_e4 if s.h_val != 0} | {kernel_over(b_e4, primes_e4)}
+    group_e = _subgroup(classes_e | _point_classes(extra_points, b_e, primes_e))
     group_e4 = _subgroup(classes_e4)
     s, s_prime = len(group_e), len(group_e4)
     bound = max(s.bit_length() + s_prime.bit_length() - 2 - 2, 0)

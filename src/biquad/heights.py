@@ -30,6 +30,12 @@ over the cofactors' absolute coefficient sum (Silverman, Math. Comp. 55,
 1990), so the normalized iteration factor is at least
 
   c_low = min(16|b|^3 / (21|b| + 15), 16 / (3b^2 + 17|b| + 16)).
+
+Torsion in closed form: every torsion point has order dividing 4, and a
+point P = (x, y) is torsion iff y = 0 or x^2 = b.  Indeed 2P = O iff
+y = 0; x(2P) = (x^2 - b)^2 / (4y^2) vanishes iff x^2 = b; and
+2P = (+-c, 0) with c^2 = -b would need x = +-c(1 +- sqrt 2), which is
+irrational.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .curves import Curve, CurveUsageError, Point, scalar_mul, add
+from .curves import Curve, CurveUsageError, Point, add
 
 _DPS = 120
 _TARGET = 1e-12  # absolute error the iteration count aims for
@@ -126,16 +132,16 @@ def _curve_constants(b: int):
 
 
 def _is_torsion(p: Point) -> bool:
-    # torsion on y^2 = x^3 + b*x has exponent dividing 4
-    return scalar_mul(4, p).is_identity
+    # 4P = O, in closed form (see module docstring)
+    return p.y == 0 or p.x * p.x == p.curve.b
 
 
 def canonical_height(p: Point) -> HeightValue:
     """Canonical height with a certified absolute error bound.
 
     Returns 0 exactly for the identity and for torsion points.  The
-    reported abs_error is the sum of both geometric tail bounds plus a
-    generous allowance for floating-point roundoff.
+    reported abs_error is both geometric tail bounds plus 1e-20*max(1, |h|),
+    a term below float64 rounding, so roundoff is not yet covered (ROADMAP item 3).
     """
     c = p.curve
     if c.a2 != 0:
@@ -188,45 +194,35 @@ def canonical_height(p: Point) -> HeightValue:
     return HeightValue(value, err)
 
 
-def height_pairing(p: Point, q: Point) -> float:
-    """(hhat(p+q) - hhat(p) - hhat(q)) / 2."""
-    return _pairing_with_error(p, q)[0]
-
-
-def _pairing_with_error(p: Point, q: Point) -> tuple[float, float]:
-    if p.curve != q.curve:
-        raise HeightUsageError("height pairing needs points on one curve")
-    hpq = canonical_height(add(p, q))
-    hp = canonical_height(p)
-    hq = canonical_height(q)
-    value = (hpq.value - hp.value - hq.value) / 2
-    err = (hpq.abs_error + hp.abs_error + hq.abs_error) / 2
-    return value, err
-
-
 def gram_matrix(points) -> GramMatrix:
+    """Pairings (hhat(p+q) - hhat(p) - hhat(q)) / 2, from n + n(n+1)/2 heights."""
     points = tuple(points)
     if not points:
         raise HeightUsageError("empty point list")
+    if any(p.curve != points[0].curve for p in points):
+        raise HeightUsageError("height pairing needs points on one curve")
+    h = [canonical_height(p) for p in points]
     n = len(points)
     entries = [[0.0] * n for _ in range(n)]
     worst = 0.0
+    # the diagonal too goes through hhat(2P): hhat(P) alone would change the
+    # printed determinants in the last digits
     for i in range(n):
         for j in range(i, n):
-            v, e = _pairing_with_error(points[i], points[j])
-            entries[i][j] = entries[j][i] = v
-            worst = max(worst, e)
+            hs = canonical_height(add(points[i], points[j]))
+            entries[i][j] = entries[j][i] = (hs.value - h[i].value - h[j].value) / 2
+            worst = max(worst, (hs.abs_error + h[i].abs_error + h[j].abs_error) / 2)
     return GramMatrix(points, tuple(tuple(r) for r in entries), worst)
+
+
+def height_pairing(p: Point, q: Point) -> float:
+    """(hhat(p+q) - hhat(p) - hhat(q)) / 2."""
+    return gram_matrix((p, q)).entries[0][1]
 
 
 # a Gram determinant above this (and above its own error bound) certifies
 # linear independence
 INDEPENDENCE_TOLERANCE = 0.01
-
-
-def regulator(points) -> float:
-    """Gram determinant of the height pairing."""
-    return gram_matrix(points).determinant()
 
 
 def regulator_report(points) -> dict:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import biquad.arith
+import biquad.heights
 from biquad.cli import main
 from biquad.curves import Curve, on_curve
 
@@ -159,6 +160,27 @@ class TestDescent:
         assert code == 1
         assert doc["status"] == "not_on_curve"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1,2]",
+            "5",
+            "null",
+            '{"x": 1, "y": 2}',
+            '{"x": {"num": "1", "den": "0"}, "y": {"num": "1", "den": "1"}}',
+        ],
+        ids=["list", "number", "null", "bare-coordinates", "zero-denominator"],
+    )
+    def test_points_file_malformed_line(self, capsys, tmp_path, line):
+        path = tmp_path / "pts.jsonl"
+        path.write_text(line + "\n")
+        code, doc = run_cli(
+            capsys, "descent", "--N", "17", "--points-file", str(path)
+        )
+        assert code == 1
+        assert doc["status"] == "parse_error"
+        assert f"{path}:1:" in doc["error"]
+
     def test_missing_file(self, capsys):
         code, doc = run_cli(capsys, "descent", "--N", "17", "--points-file", "/nope")
         assert code == 1
@@ -235,6 +257,28 @@ def test_factorizes_n_once(capsys, monkeypatch, argv):
     code, doc = run_cli(capsys, *argv)
     assert code == 0
     assert calls == [int(doc["N"])]
+
+
+@pytest.mark.parametrize(
+    "argv, heights",
+    [
+        (("theorem2", "--u", "5/3"), 14),  # 4 points + 10 pairwise sums
+        (("theorem1", "--m", "2", "--n", "1"), 5),  # 2 points + 3 pairwise sums
+    ],
+)
+def test_one_height_per_point(capsys, monkeypatch, argv, heights):
+    points = []
+    canonical_height = biquad.heights.canonical_height
+
+    def counting(p):
+        points.append(p)
+        return canonical_height(p)
+
+    monkeypatch.setattr(biquad.heights, "canonical_height", counting)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(points) == heights
+    assert len(set(points)) == heights
 
 
 class TestOutputContract:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+import biquad.curves
 from biquad.arith import ArithDomainError, is_perfect_square
 from biquad.curves import (
     Curve,
@@ -112,16 +114,57 @@ class TestScalarMul:
             assert scalar_mul(k, p) == acc
             acc = add(acc, p)
 
+    def test_no_doubling_past_top_bit(self, monkeypatch):
+        p = Curve(0, -635318657).point(137129, 49914956)
+        expected = p
+        for _ in range(6):
+            expected = add(expected, expected)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return add(a, b)
+
+        monkeypatch.setattr(biquad.curves, "add", counting)
+        assert scalar_mul(64, p) == expected
+        assert len(calls) == 7  # six doublings, then identity + 64P
+
 
 class TestTorsion:
     def test_z4(self):
-        assert torsion_kind(4) is TorsionKind.Z4
+        for t in range(1, 6):  # (2t^2, 4t^3) has order 4, e.g. (8, 32) on b = 64
+            assert torsion_kind(4 * t**4) is TorsionKind.Z4
 
     def test_z2xz2(self):
         assert torsion_kind(-9) is TorsionKind.Z2XZ2
 
     def test_z2(self):
         assert torsion_kind(-17) is TorsionKind.Z2
+
+    @staticmethod
+    def torsion_oracle(b):
+        """Torsion group from the integral points of order dividing 4.
+
+        Torsion points are integral (Nagell-Lutz) with y = 0 or y^2 | 4|b|^3,
+        and x > 2|b| would give y^2 = x^3 + b*x > 6|b|^3, so |x| <= 2|b|.
+        """
+        c = Curve(0, b)
+        tors = []
+        for x in range(-2 * abs(b), 2 * abs(b) + 1):
+            r = x**3 + b * x
+            if is_perfect_square(r):
+                for y in {isqrt(r), -isqrt(r)}:
+                    p = c.point(x, y)
+                    if scalar_mul(4, p).is_identity:
+                        tors.append(p)
+        if any(not scalar_mul(2, p).is_identity for p in tors):
+            return TorsionKind.Z4
+        return TorsionKind.Z2XZ2 if len(tors) == 3 else TorsionKind.Z2
+
+    def test_against_scalar_mul_oracle(self):
+        bs = [b for b in range(-150, 151) if b] + [4 * t**4 for t in range(2, 6)]
+        for b in bs:
+            assert torsion_kind(b) is self.torsion_oracle(b), b
 
     def test_zero_rejected(self):
         with pytest.raises(ArithDomainError):

@@ -94,6 +94,19 @@ class TestSearch:
         assert found == exhaustive_oracle(68, 5)
         assert (2, 3, 1, 14) in found
 
+    @given(
+        st.integers(-3000, 3000).filter(lambda b: b != 0), st.integers(0, 6)
+    )
+    def test_matches_oracle_in_order(self, B, bound):
+        # every sign of d and B/d, so the early exit once d*u^4 + (B/d)*v^4 < 0
+        # is checked against a search that never leaves early
+        found = [
+            (s.d, s.u_val, s.v_val, s.h_val)
+            for s in search_solutions(B, bound, list(factorize(abs(B))))
+        ]
+        key = lambda t: (abs(t[0]), t[0] < 0, t[1], t[2])
+        assert found == sorted(exhaustive_oracle(B, bound), key=key)
+
     def test_degenerate_b_minus1(self):
         sols = search_solutions(-1, 1, [])
         assert sols and all(s.d == -1 or s.h_val == 0 for s in sols)

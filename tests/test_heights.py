@@ -10,12 +10,12 @@ from biquad.heights import (
     GramMatrix,
     HeightUsageError,
     _curve_constants,
+    _is_torsion,
     canonical_height,
     gram_matrix,
     height_pairing,
     log_big,
     naive_height,
-    regulator,
     regulator_report,
 )
 from biquad.poly import BivarPoly
@@ -113,6 +113,40 @@ class TestCanonicalHeight:
             canonical_height(c.identity())
 
 
+class TestIsTorsion:
+    @staticmethod
+    def check(p):
+        assert _is_torsion(p) == scalar_mul(4, p).is_identity, p
+
+    def test_family_points_and_multiples(self):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                p1, p2 = family_curve_points(m, n)
+                t = p1.curve.point(0, 0)
+                for a in range(-2, 3):
+                    for b in range(-2, 3):
+                        p = add(scalar_mul(a, p1), scalar_mul(b, p2))
+                        for q in (p, add(p, t)):
+                            if not q.is_identity:
+                                self.check(q)
+
+    def test_full_two_torsion(self):
+        for c in range(1, 8):
+            curve = Curve(0, -c * c)
+            for x in (0, c, -c):
+                self.check(curve.point(x, 0))
+        self.check(Curve(0, -25).point(-4, 6))  # rank-1 point of y^2 = x^3 - 25x
+
+    def test_order_four(self):
+        for t in range(1, 6):
+            curve = Curve(0, 4 * t**4)
+            for y in (4 * t**3, -4 * t**3):
+                p = curve.point(2 * t * t, y)
+                self.check(p)
+                assert _is_torsion(p) and not scalar_mul(2, p).is_identity
+            self.check(curve.point(0, 0))
+
+
 class TestHeightPairing:
     def test_identity_pairing(self):
         p = E17.point(-1, 4)
@@ -138,7 +172,7 @@ class TestHeightPairing:
 class TestRegulator:
     def test_rank2_witness(self):
         p1, p2 = family_curve_points(2, 1)
-        assert regulator([p1, p2]) > 0.05
+        assert gram_matrix([p1, p2]).determinant() > 0.05
 
     def test_rank4_witness(self):
         from biquad.families import euler_family_points, specialize_euler
@@ -161,7 +195,12 @@ class TestRegulator:
 
     def test_empty_rejected(self):
         with pytest.raises(HeightUsageError):
-            regulator([])
+            gram_matrix([])
+
+    def test_mixed_curves_rejected(self):
+        p1, p2 = family_curve_points(2, 1)
+        with pytest.raises(HeightUsageError):
+            gram_matrix([p1, p2, Curve(0, -2).point(-1, 1)])
 
     def test_gram_symmetric(self):
         p1, p2 = family_curve_points(2, 1)
