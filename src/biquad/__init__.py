@@ -43,11 +43,10 @@ from .families import (
 from .heights import (
     HeightValue,
     canonical_height,
-    height_pairing,
     naive_height,
     regulator_report,
 )
-from .poly import BivarPoly, RatFunc
+from .poly import BivarPoly
 from .search import (
     Representation,
     TwinRecord,

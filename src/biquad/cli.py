@@ -72,10 +72,12 @@ def _parse_point(curve: Curve, text: str) -> Point:
 
 def _load_points_file(path: str, curve: Curve) -> list[Point]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CliError("io_error", str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError("parse_error", f"{path}: not UTF-8: {exc}") from exc
     points = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():

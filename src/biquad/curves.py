@@ -8,6 +8,7 @@ its associated curve y^2 = x^3 - 4b*x; for b = -N this is x^3 + 4N*x.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -87,10 +88,20 @@ class Point:
                 raise CurveUsageError("identity point needs an explicit curve")
             return curve.identity()
         if curve is None:
-            curve = Curve(int(obj["curve"]["a2"]), int(obj["curve"]["b"]))
-        x = Fraction(int(obj["x"]["num"]), int(obj["x"]["den"]))
-        y = Fraction(int(obj["y"]["num"]), int(obj["y"]["den"]))
+            curve = Curve(_json_int(obj["curve"]["a2"]), _json_int(obj["curve"]["b"]))
+        x = Fraction(_json_int(obj["x"]["num"]), _json_int(obj["x"]["den"]))
+        y = Fraction(_json_int(obj["y"]["num"]), _json_int(obj["y"]["den"]))
         return Point(curve, x, y)
+
+
+def _json_int(v) -> int:
+    """A JSON integer or a decimal-integer string; anything else (a float,
+    a bool, "1.0", " 1") raises ValueError instead of being rounded."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"not an integer: {v!r}")
 
 
 def on_curve(c: Curve, p: Point) -> bool:

@@ -11,8 +11,11 @@ Two families:
   polynomials and the curve y^2 = x^3 - N(u)x carries four parametric
   points.
 
-All identities are verified as exact polynomial equalities; rational
-function equality is cross-multiplied, never reduced.
+A point is kept in weighted coordinates: three integer polynomials
+(x, y, z) standing for (x/z^2, y/z^3).  Every identity is then an exact
+equality of polynomials: on the curve y^2 = x^3 - N*x*z^4, on the
+associated curve y^2 = x^3 + 4N*x*z^4, and two x-coordinates agree iff
+x*z'^2 = x'*z^2.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .arith import ArithDomainError
 from .curves import Curve, Point
-from .poly import BivarPoly, RatFunc, univariate
+from .poly import BivarPoly, PolyUsageError, univariate
 
 U = ("u",)
 UW = ("u", "w")
@@ -36,9 +39,15 @@ class DegenerateSpecializationError(ArithDomainError):
 
 @dataclass(frozen=True)
 class ParametricPoint:
-    x: RatFunc
-    y: RatFunc
-    family: str  # "general" or "euler"
+    """The point (x/z^2, y/z^3); z is a nonzero polynomial."""
+
+    x: BivarPoly
+    y: BivarPoly
+    z: BivarPoly
+
+    def __post_init__(self):
+        if self.z.is_zero:
+            raise PolyUsageError("zero z polynomial")
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +82,9 @@ def euler_n_poly() -> BivarPoly:
     return f1 * f2 * f3 * f4
 
 
-def euler_n(u=None):
-    """N(u) as an exact value, or the polynomial itself when u is None."""
-    p = euler_n_poly()
-    if u is None:
-        return p
-    v = p.evaluate(Fraction(u))
+def euler_n(u):
+    """N(u) as an exact value: an int when it is integral, else a Fraction."""
+    v = euler_n_poly().evaluate(Fraction(u))
     return v.numerator if v.denominator == 1 else v
 
 
@@ -99,12 +105,10 @@ def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
     """P1 = (-n^2, m^2 n) and the transferred point P2 on y^2 = x^3 - (m^4+n^4)x."""
     m = BivarPoly.var(MN, "m")
     n = BivarPoly.var(MN, "n")
-    p1 = ParametricPoint(RatFunc(-(n**2)), RatFunc(m**2 * n), "general")
+    p1 = ParametricPoint(-(n**2), m**2 * n, BivarPoly.const(MN, 1))
     s = m**2 + m * n + n**2
-    t = m + n
-    p2x = RatFunc(s**2, t**2)
-    p2y = RatFunc(m * n * s * (2 * m**2 + 3 * m * n + 2 * n**2), t**3)
-    p2 = ParametricPoint(p2x, p2y, "general")
+    p2y = m * n * s * (2 * m**2 + 3 * m * n + 2 * n**2)
+    p2 = ParametricPoint(s**2, p2y, m + n)
     return p1, p2
 
 
@@ -128,20 +132,21 @@ def euler_associated_points() -> tuple[ParametricPoint, ParametricPoint]:
     """Q1, Q2 on the associated curve y^2 = x^3 + 4*N(u)*x."""
     f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
     u = BivarPoly.var(U, "u")
-    q1 = ParametricPoint(RatFunc(2 * h**2), RatFunc(4 * h * w14), "euler")
-    q2 = ParametricPoint(
-        RatFunc(4 * u**2 * f2 * f3), RatFunc(4 * u * f2 * f3 * t10), "euler"
-    )
+    one = BivarPoly.const(U, 1)
+    q1 = ParametricPoint(2 * h**2, 4 * h * w14, one)
+    q2 = ParametricPoint(4 * u**2 * f2 * f3, 4 * u * f2 * f3 * t10, one)
     return q1, q2
 
 
 def transfer_parametric(q: ParametricPoint, n_expr: BivarPoly) -> ParametricPoint:
-    """Symbolic version of the dual-isogeny transfer from y^2 = x^3 + 4Nx."""
-    X, Y = q.x, q.y
-    four_n = RatFunc(4 * n_expr)
-    x = Y**2 * RatFunc(BivarPoly.const(n_expr.vars, 1), BivarPoly.const(n_expr.vars, 4)) * (X**-2)
-    y = Y * (X**2 - four_n) * RatFunc(BivarPoly.const(n_expr.vars, 1), BivarPoly.const(n_expr.vars, 8)) * (X**-2)
-    return ParametricPoint(x, y, q.family)
+    """Symbolic version of the dual-isogeny transfer from y^2 = x^3 + 4Nx.
+
+    (X, Y) -> (Y^2/(4X^2), Y(X^2 - 4N)/(8X^2)) as in
+    ``curves.transfer_from_associated``; in weighted coordinates this is
+    (X, Y, Z) -> (Y^2, X*Y*(X^2 - 4N*Z^4), 2*X*Z).
+    """
+    X, Y, Z = q.x, q.y, q.z
+    return ParametricPoint(Y**2, X * Y * (X**2 - 4 * n_expr * Z**4), 2 * X * Z)
 
 
 def euler_family_points() -> tuple[ParametricPoint, ...]:
@@ -152,10 +157,11 @@ def euler_family_points() -> tuple[ParametricPoint, ...]:
     """
     f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
     u = BivarPoly.var(U, "u")
+    one = BivarPoly.const(U, 1)
     y1fac = univariate("u", [-5, 0, 4, 0, 1, 0, 1])
-    p1 = ParametricPoint(RatFunc(f2 * f4), RatFunc(u**2 * y1fac * f2 * f4), "euler")
+    p1 = ParametricPoint(f2 * f4, u**2 * y1fac * f2 * f4, one)
     b1 = univariate("u", [1, 0, 1, 0, -2, -3, 1])         # B(u,1)
-    p2 = ParametricPoint(RatFunc(-(u**2) * g**2), RatFunc(u * g * b1**2), "euler")
+    p2 = ParametricPoint(-(u**2) * g**2, u * g * b1**2, one)
     q1, q2 = euler_associated_points()
     n = euler_n_poly()
     p3 = transfer_parametric(q2, n)
@@ -163,13 +169,17 @@ def euler_family_points() -> tuple[ParametricPoint, ...]:
     return p1, p2, p3, p4
 
 
-def printed_transfer_x() -> tuple[RatFunc, RatFunc]:
-    """The closed-form x-coordinates of the two transferred points."""
+def printed_transfer_x() -> tuple[tuple[BivarPoly, BivarPoly], ...]:
+    """The closed-form x-coordinates t10^2/(2u)^2 and w14^2/h^2 of the two
+    transferred points, each as a pair (x, z) standing for x/z^2."""
     f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
     u = BivarPoly.var(U, "u")
-    x3 = RatFunc(t10**2, 4 * u**2)
-    x4 = RatFunc(w14**2, h**2)
-    return x3, x4
+    return (t10**2, 2 * u), (w14**2, h)
+
+
+def same_x(pt: ParametricPoint, x: BivarPoly, z: BivarPoly) -> bool:
+    """True iff pt has the x-coordinate x/z^2, as a polynomial identity."""
+    return pt.x * z**2 == x * pt.z**2
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +188,21 @@ def printed_transfer_x() -> tuple[RatFunc, RatFunc]:
 
 
 def verify_parametric_point(pt: ParametricPoint, n_expr: BivarPoly) -> bool:
-    """True iff y^2 = x^3 - N*x holds as a rational-function identity."""
-    lhs = pt.y**2 - pt.x**3 + RatFunc(n_expr) * pt.x
-    return lhs.is_zero
+    """True iff y^2 = x^3 - N*x*z^4 holds as a polynomial identity."""
+    return pt.y**2 == pt.x**3 - n_expr * pt.x * pt.z**4
 
 
 def verify_on_associated(pt: ParametricPoint, n_expr: BivarPoly) -> bool:
-    """True iff y^2 = x^3 + 4*N*x holds as a rational-function identity."""
-    lhs = pt.y**2 - pt.x**3 - RatFunc(4 * n_expr) * pt.x
-    return lhs.is_zero
+    """True iff y^2 = x^3 + 4*N*x*z^4 holds as a polynomial identity."""
+    return pt.y**2 == pt.x**3 + 4 * n_expr * pt.x * pt.z**4
+
+
+def _specialize(pt: ParametricPoint, curve: Curve, values, where: str, z_scale=1):
+    """The point (x/z^2, y/z^3) at the given values, with z divided by z_scale."""
+    z = pt.z.evaluate(*values) / z_scale
+    if z == 0:
+        raise DegenerateSpecializationError(f"denominator vanishes at {where}")
+    return curve.point(pt.x.evaluate(*values) / z**2, pt.y.evaluate(*values) / z**3)
 
 
 def specialize_general(pt: ParametricPoint, m, n) -> Point:
@@ -197,15 +213,7 @@ def specialize_general(pt: ParametricPoint, m, n) -> Point:
     N = int(m) ** 4 + int(n) ** 4
     if N <= 0:
         raise DegenerateSpecializationError("N = m^4 + n^4 must be positive")
-    curve = Curve(0, -N)
-    try:
-        x = pt.x.evaluate(m, n)
-        y = pt.y.evaluate(m, n)
-    except ZeroDivisionError as exc:
-        raise DegenerateSpecializationError(
-            f"denominator vanishes at (m, n) = ({m}, {n})"
-        ) from exc
-    return curve.point(x, y)
+    return _specialize(pt, Curve(0, -N), (m, n), f"(m, n) = ({m}, {n})")
 
 
 def euler_degenerate(u) -> str | None:
@@ -238,17 +246,13 @@ def euler_integral_model(u) -> tuple[Curve, int]:
 
 
 def specialize_euler(pt: ParametricPoint, u) -> Point:
-    """Substitute u; for rational u the point lands on the integral model."""
+    """Substitute u; for rational u the point lands on the integral model.
+
+    The model scales (x, y) by (q^14, q^21), that is z by q^-7.
+    """
     u = Fraction(u)
     curve, q = euler_integral_model(u)
-    try:
-        x = pt.x.evaluate(u) * q**14
-        y = pt.y.evaluate(u) * q**21
-    except ZeroDivisionError as exc:
-        raise DegenerateSpecializationError(
-            f"denominator vanishes at u = {u}"
-        ) from exc
-    return curve.point(x, y)
+    return _specialize(pt, curve, (u,), f"u = {u}", q**7)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +308,8 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     results.append(("euler-q1-on-associated", verify_on_associated(q1, n)))
     results.append(("euler-q2-on-associated", verify_on_associated(q2, n)))
     x3, x4 = printed_transfer_x()
-    results.append(("transfer-q2-gives-x3", p3.x == x3))
-    results.append(("transfer-q1-gives-x4", p4.x == x4))
+    results.append(("transfer-q2-gives-x3", same_x(p3, *x3)))
+    results.append(("transfer-q1-gives-x4", same_x(p4, *x4)))
 
     # quartic-space left sides on the Euler curve and its associate are
     # exact squares of integer polynomials (the H of each solution)

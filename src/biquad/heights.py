@@ -215,11 +215,6 @@ def gram_matrix(points) -> GramMatrix:
     return GramMatrix(points, tuple(tuple(r) for r in entries), worst)
 
 
-def height_pairing(p: Point, q: Point) -> float:
-    """(hhat(p+q) - hhat(p) - hhat(q)) / 2."""
-    return gram_matrix((p, q)).entries[0][1]
-
-
 # a Gram determinant above this (and above its own error bound) certifies
 # linear independence
 INDEPENDENCE_TOLERANCE = 0.01

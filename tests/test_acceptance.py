@@ -17,6 +17,7 @@ from biquad.families import (
     general_n_poly,
     identity_suite,
     printed_transfer_x,
+    same_x,
     specialize_euler,
     specialize_general,
     verify_parametric_point,
@@ -63,8 +64,8 @@ def test_criterion_2_theorem2_symbolic():
         and suite["euler-n-equals-a4-plus-b4"]
         and suite["euler-n-equals-c4-plus-d4"]
         and all(verify_parametric_point(p, n) for p in points)
-        and points[2].x == x3
-        and points[3].x == x4
+        and same_x(points[2], *x3)
+        and same_x(points[3], *x4)
     )
     _report("criterion-2 theorem-2 symbolic suite", ok, time.monotonic() - t0, 10)
 

@@ -168,8 +168,18 @@ class TestDescent:
             "null",
             '{"x": 1, "y": 2}',
             '{"x": {"num": "1", "den": "0"}, "y": {"num": "1", "den": "1"}}',
+            '{"x": {"num": -1.9, "den": 1}, "y": {"num": 4, "den": 1}}',
+            '{"x": {"num": -1, "den": true}, "y": {"num": 4, "den": 1}}',
         ],
-        ids=["list", "number", "null", "bare-coordinates", "zero-denominator"],
+        ids=[
+            "list",
+            "number",
+            "null",
+            "bare-coordinates",
+            "zero-denominator",
+            "fractional-number",
+            "bool",
+        ],
     )
     def test_points_file_malformed_line(self, capsys, tmp_path, line):
         path = tmp_path / "pts.jsonl"
@@ -180,6 +190,16 @@ class TestDescent:
         assert code == 1
         assert doc["status"] == "parse_error"
         assert f"{path}:1:" in doc["error"]
+
+    def test_points_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "pts.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        code, doc = run_cli(
+            capsys, "descent", "--N", "17", "--points-file", str(path)
+        )
+        assert code == 1
+        assert doc["status"] == "parse_error"
+        assert str(path) in doc["error"]
 
     def test_missing_file(self, capsys):
         code, doc = run_cli(capsys, "descent", "--N", "17", "--points-file", "/nope")
@@ -233,7 +253,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 )
 def test_golden_stdout(capsys, case):
     code = main(case["argv"])
-    assert code == 0
+    assert code == case.get("code", 0)
     assert capsys.readouterr().out == case["stdout"]
 
 

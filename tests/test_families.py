@@ -18,12 +18,13 @@ from biquad.families import (
     general_n_poly,
     identity_suite,
     printed_transfer_x,
+    same_x,
     specialize_euler,
     specialize_general,
     verify_on_associated,
     verify_parametric_point,
 )
-from biquad.poly import BivarPoly, RatFunc
+from biquad.poly import BivarPoly, PolyUsageError
 
 
 class TestEulerQuadruple:
@@ -100,7 +101,7 @@ class TestGeneralFamily:
     def test_p2_x_is_a_square(self):
         _, p2 = general_family_points()
         for m, n in [(2, 1), (3, 2), (5, 1)]:
-            x = p2.x.evaluate(m, n)
+            x = p2.x.evaluate(m, n) / p2.z.evaluate(m, n) ** 2
             r = Fraction(m * m + m * n + n * n, m + n)
             assert x == r * r
 
@@ -120,8 +121,9 @@ class TestEulerFamilyPoints:
     def test_transferred_x_match_printed(self):
         p1, p2, p3, p4 = euler_family_points()
         x3, x4 = printed_transfer_x()
-        assert p3.x == x3
-        assert p4.x == x4
+        assert same_x(p3, *x3)
+        assert same_x(p4, *x4)
+        assert not same_x(p3, *x4)
 
     def test_specialize_u2(self):
         expected = [
@@ -138,12 +140,15 @@ class TestEulerFamilyPoints:
 
     def test_x1_at_2_factors(self):
         p1 = euler_family_points()[0]
+        assert p1.z == 1
         assert p1.x.evaluate(2) == 241 * 569 == 137129
 
     def test_denominators_at_2(self):
         _, _, p3, p4 = euler_family_points()
-        assert p3.x.evaluate(2).denominator == 16
-        assert p4.x.evaluate(2).denominator == 9801 == 99**2
+        x3 = p3.x.evaluate(2) / p3.z.evaluate(2) ** 2
+        x4 = p4.x.evaluate(2) / p4.z.evaluate(2) ** 2
+        assert x3.denominator == 16
+        assert x4.denominator == 9801 == 99**2
 
     def test_round_trip_random_specializations(self, rng):
         n = euler_n_poly()
@@ -168,12 +173,26 @@ class TestEulerFamilyPoints:
 class TestVerifyParametricPoint:
     def test_negative(self):
         n = euler_n_poly()
-        bad = ParametricPoint(
-            RatFunc(BivarPoly.zero(("u",))),
-            RatFunc(BivarPoly.const(("u",), 1)),
-            "euler",
-        )
+        one = BivarPoly.const(("u",), 1)
+        bad = ParametricPoint(BivarPoly.const(("u",), 0), one, one)
         assert not verify_parametric_point(bad, n)
+        # P1 has z = 1; the same x and y with z = 2 is another point, off the curve
+        p1 = euler_family_points()[0]
+        moved = ParametricPoint(p1.x, p1.y, BivarPoly.const(("u",), 2))
+        assert not verify_parametric_point(moved, n)
+
+
+class TestParametricPoint:
+    def test_zero_z_rejected(self):
+        one = BivarPoly.const(("u",), 1)
+        with pytest.raises(PolyUsageError):
+            ParametricPoint(one, one, BivarPoly.const(("u",), 0))
+
+    def test_vanishing_z_is_degenerate(self):
+        u = BivarPoly.var(("u",), "u")
+        pt = ParametricPoint(u, u, u - 2)
+        with pytest.raises(DegenerateSpecializationError, match="vanishes at u = 2"):
+            specialize_euler(pt, 2)
 
 
 class TestIdentitySuite:

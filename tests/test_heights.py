@@ -13,7 +13,6 @@ from biquad.heights import (
     _is_torsion,
     canonical_height,
     gram_matrix,
-    height_pairing,
     log_big,
     naive_height,
     regulator_report,
@@ -150,23 +149,24 @@ class TestIsTorsion:
 class TestHeightPairing:
     def test_identity_pairing(self):
         p = E17.point(-1, 4)
-        assert height_pairing(p, E17.identity()) == pytest.approx(0.0, abs=1e-9)
+        pairing = gram_matrix((p, E17.identity())).entries[0][1]
+        assert pairing == pytest.approx(0.0, abs=1e-9)
 
     def test_self_pairing_is_height(self):
         p = E17.point(-1, 4)
-        assert height_pairing(p, p) == pytest.approx(
+        assert gram_matrix((p, p)).entries[0][1] == pytest.approx(
             canonical_height(p).value, abs=1e-9
         )
 
     def test_negation_pairing(self):
         p = E17.point(-1, 4)
-        assert height_pairing(p, -p) == pytest.approx(
+        assert gram_matrix((p, -p)).entries[0][1] == pytest.approx(
             -canonical_height(p).value, abs=1e-9
         )
 
     def test_different_curves_rejected(self):
         with pytest.raises(HeightUsageError):
-            height_pairing(E17.point(-1, 4), Curve(0, -2).point(-1, 1))
+            gram_matrix((E17.point(-1, 4), Curve(0, -2).point(-1, 1)))
 
 
 class TestRegulator:
