@@ -50,10 +50,8 @@ from .poly import BivarPoly
 from .search import (
     Representation,
     TwinRecord,
-    euler_membership_scan,
     twin_search,
     verify_decomposition_tables,
-    verify_representation,
 )
 
 __version__ = "0.1.0"

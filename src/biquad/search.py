@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .arith import ArithDomainError
-from .families import euler_degenerate, euler_quadruple
 
 
 @dataclass(frozen=True)
@@ -52,69 +52,80 @@ class TwinRecord:
         }
 
 
-def verify_representation(N: int, r: Representation) -> bool:
-    return r.value == N
+# Pairs per value window of twin_search. A window's int64 work arrays
+# take tens of MB, whatever the limit.
+_WINDOW = 2**20
+
+
+def _iroot4(x):
+    """floor(x^(1/4)) elementwise for int64 x >= 0, and -1 where x < 0.
+
+    The float64 estimate is off by at most one either way. Each fix
+    compares s with y // s for s = r^2, which cannot overflow int64.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.maximum(x, 0)
+    r = np.sqrt(np.sqrt(y.astype(np.float64))).astype(np.int64)
+    s = r * r
+    r -= s > y // np.maximum(s, 1)
+    s = (r + 1) ** 2
+    r += s <= y // s
+    return np.where(x < 0, -1, r)
 
 
 def twin_search(limit: int) -> list[TwinRecord]:
     """All N = a^4 + b^4 with two or more representations, b <= limit.
 
-    Sort-and-scan over the ~limit^2/2 normalized pairs in int64, which
-    holds every a^4 + b^4 for limit <= 46340; larger limits are rejected.
+    The values 2 .. 2*limit^4 are cut into windows [lo, hi) of equal
+    width in sqrt(value), which hold similar numbers of pairs because
+    the pair count below X grows like sqrt(X). In each window the b
+    range of every a comes from an integer fourth root (Bernstein,
+    "Enumerating solutions to p(a)+q(b)=r(c)+s(d)", Math. Comp. 70,
+    2001), and the window's values are built, sorted and checked for
+    repeats in numpy, so memory is O(_WINDOW) rather than O(limit^2).
+    The representations of a repeated value n are the a <= b with
+    n - a^4 a fourth power. Everything is int64, which holds every
+    a^4 + b^4 for limit <= 46340; larger limits are rejected. Records
+    come in ascending N, and their representations in ascending a.
     """
     if limit < 2:
         raise ArithDomainError("limit must be at least 2")
     if 2 * limit**4 >= 2**63:
         raise ArithDomainError("limit must be at most 46340 (int64 range)")
     fourths = np.arange(limit + 1, dtype=np.int64) ** 4
-    values = []
-    pairs = []
-    for a in range(1, limit + 1):
-        b = np.arange(a, limit + 1, dtype=np.int64)
-        values.append(fourths[a] + fourths[b])
-        pairs.append(np.stack([np.full(b.shape, a, dtype=np.int64), b], axis=1))
-    values = np.concatenate(values)
-    pairs = np.concatenate(pairs)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    pairs = pairs[order]
+    a4 = fourths[1:]
+    pairs = limit * (limit + 1) // 2
+    k = -(-pairs // _WINDOW)
+    top = 2 * limit**4 + 1
+    done = np.arange(limit, dtype=np.int64)  # for each a, the largest b so far
     records = []
-    i = 0
-    m = len(values)
-    while i < m:
-        j = i + 1
-        while j < m and values[j] == values[i]:
-            j += 1
-        if j - i >= 2:
-            reps = tuple(
-                Representation(int(a), int(b))
-                for a, b in sorted(map(tuple, pairs[i:j]))
-            )
-            records.append(TwinRecord(int(values[i]), reps))
-        i = j
+    for i in range(1, k + 1):
+        hi = top * i * i // (k * k)
+        upto = np.clip(_iroot4(hi - 1 - a4), done, limit)
+        counts = upto - done
+        total = int(counts.sum())
+        if total >= 2:
+            starts = np.cumsum(counts) - counts
+            b = np.arange(total, dtype=np.int64) + np.repeat(done + 1 - starts, counts)
+            values = np.repeat(a4, counts) + fourths[b]
+            values.sort()
+            twins = np.unique(values[1:][values[1:] == values[:-1]])
+            del b, values
+            records.extend(_twin_record(n, fourths) for n in twins.tolist())
+        done = upto
     return records
 
 
-def euler_membership_scan(u_limit: int) -> list[TwinRecord]:
-    """Twin records from the degree-7 quadruple at integer u in [2, u_limit]."""
-    if u_limit < 2:
-        raise ArithDomainError("u_limit must be at least 2")
-    quad = euler_quadruple()
-    records = []
-    for u in range(2, u_limit + 1):
-        if euler_degenerate(u) is not None:
-            continue
-        a, b, c, d = (int(p.evaluate(u, 1)) for p in quad)
-        r1 = Representation(*sorted((abs(a), abs(b))))
-        r2 = Representation(*sorted((abs(c), abs(d))))
-        if (r1.a, r1.b) == (r2.a, r2.b) or 0 in (a, b, c, d):
-            continue
-        n = r1.value
-        assert r2.value == n
-        reps = tuple(sorted((r1, r2), key=lambda r: (r.a, r.b)))
-        records.append(TwinRecord(n, reps))
-    records.sort(key=lambda t: t.n)
-    return records
+def _twin_record(n: int, fourths: np.ndarray) -> TwinRecord:
+    """The record of n, from the a <= b <= limit with n - a^4 = b^4."""
+    a = np.arange(1, math.isqrt(math.isqrt(n // 2)) + 1, dtype=np.int64)
+    rest = n - fourths[a]
+    b = np.minimum(np.searchsorted(fourths, rest), len(fourths) - 1)
+    hit = fourths[b] == rest
+    return TwinRecord(
+        n,
+        tuple(Representation(x, y) for x, y in zip(a[hit].tolist(), b[hit].tolist())),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +158,7 @@ def verify_decomposition_tables(tables: dict | None = None) -> list[dict]:
                         "N": str(n),
                         "a": str(rep.a),
                         "b": str(rep.b),
-                        "pass": verify_representation(n, rep),
+                        "pass": rep.value == n,
                     }
                 )
     return rows

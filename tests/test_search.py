@@ -1,15 +1,19 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from biquad import search
 from biquad.arith import ArithDomainError
 from biquad.curves import TorsionKind, torsion_kind
 from biquad.search import (
     Representation,
     TwinRecord,
-    euler_membership_scan,
+    _iroot4,
     load_decomposition_tables,
     twin_search,
     verify_decomposition_tables,
-    verify_representation,
 )
 
 
@@ -22,6 +26,36 @@ def brute_force_oracle(limit):
     return {n: sorted(reps) for n, reps in seen.items() if len(reps) >= 2}
 
 
+def assert_matches_oracle(records, limit):
+    """Same values, order and Python-int types as the oracle."""
+    expected = [
+        (n, tuple(Representation(a, b) for a, b in reps))
+        for n, reps in sorted(brute_force_oracle(limit).items())
+    ]
+    assert [(r.n, r.representations) for r in records] == expected
+    assert all(
+        type(r.n) is int and type(rep.a) is int and type(rep.b) is int
+        for r in records
+        for rep in r.representations
+    )
+
+
+class TestIroot4:
+    @given(k=st.integers(min_value=1, max_value=55108))
+    def test_around_fourth_powers(self, k):
+        x = np.array([k**4 - 1, k**4, k**4 + 1], dtype=np.int64)
+        assert _iroot4(x).tolist() == [math.isqrt(math.isqrt(int(v))) for v in x]
+
+    def test_top_of_search_range(self):
+        top = 2 * 46340**4
+        x = np.array([0, 1, top - 1, top, top + 1, 2**63 - 1], dtype=np.int64)
+        assert _iroot4(x).tolist() == [math.isqrt(math.isqrt(int(v))) for v in x]
+
+    def test_negative(self):
+        x = np.array([-1, -2, -(2**62)], dtype=np.int64)
+        assert _iroot4(x).tolist() == [-1, -1, -1]
+
+
 class TestRepresentation:
     def test_value(self):
         assert Representation(59, 158).value == 635318657
@@ -31,10 +65,6 @@ class TestRepresentation:
             Representation(158, 59)
         with pytest.raises(ArithDomainError):
             Representation(0, 5)
-
-    def test_verify(self):
-        assert verify_representation(635318657, Representation(133, 134))
-        assert not verify_representation(635318657, Representation(133, 135))
 
     def test_twin_record_validation(self):
         r1, r2 = Representation(59, 158), Representation(133, 134)
@@ -67,18 +97,21 @@ class TestTwinSearch:
             assert got == brute_force_oracle(limit)
 
     def test_numpy_and_bigint_paths_agree(self):
-        # The int64 sort-and-scan against an exact Python-int enumeration.
-        fast = twin_search(300)
-        slow = [
-            (n, tuple(Representation(a, b) for a, b in reps))
-            for n, reps in sorted(brute_force_oracle(300).items())
-        ]
-        assert [(r.n, r.representations) for r in fast] == slow
-        assert all(
-            type(r.n) is int and type(rep.a) is int and type(rep.b) is int
-            for r in fast
-            for rep in r.representations
-        )
+        # The int64 windowed search against an exact Python-int enumeration.
+        assert_matches_oracle(twin_search(300), 300)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        limit=st.integers(min_value=2, max_value=300),
+        window=st.sampled_from([1, 7, 64, 1000]),
+    )
+    @example(limit=160, window=1)  # a window holding just the two reps of a twin
+    def test_tiny_windows_match_oracle(self, limit, window):
+        # Many window edges fall between and on twin values.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_WINDOW", window)
+            records = twin_search(limit)
+        assert_matches_oracle(records, limit)
 
     def test_sorted_by_n(self):
         ns = [rec.n for rec in twin_search(600)]
@@ -100,30 +133,6 @@ class TestTwinSearch:
     def test_twin_curves_have_z2_torsion(self):
         for rec in twin_search(400):
             assert torsion_kind(-rec.n) is TorsionKind.Z2
-
-
-class TestEulerMembershipScan:
-    def test_u2_record(self):
-        records = euler_membership_scan(2)
-        assert len(records) == 1
-        assert records[0].n == 635318657
-
-    def test_subset_of_direct_search(self):
-        # every scanned record at small u must reappear in a direct search
-        # over a large enough coordinate range
-        records = euler_membership_scan(3)
-        direct = {rec.n for rec in twin_search(2500)}
-        for rec in records:
-            assert rec.n in direct
-
-    def test_all_records_valid(self):
-        for rec in euler_membership_scan(6):
-            for r in rec.representations:
-                assert verify_representation(rec.n, r)
-
-    def test_limit_too_small(self):
-        with pytest.raises(ArithDomainError):
-            euler_membership_scan(1)
 
 
 class TestDecompositionTables:
