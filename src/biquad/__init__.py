@@ -3,19 +3,12 @@ sum of two fourth powers: parametric points, canonical heights and
 regulators, quartic-space descent bounds, and twin-representation search.
 """
 
-from .arith import (
-    SquareClass,
-    factorize,
-    is_perfect_square,
-    square_class_mul,
-    squarefree_kernel,
-)
+from .arith import factorize, is_perfect_square
 from .curves import (
     Curve,
     Point,
     TorsionKind,
     add,
-    associated_curve,
     on_curve,
     scalar_mul,
     torsion_kind,
@@ -24,7 +17,6 @@ from .curves import (
 from .descent import (
     DescentReport,
     HomSpaceSolution,
-    lift_to_point,
     rank_lower_bound,
     search_solutions,
     verify_solution,

@@ -2,13 +2,13 @@
 
 Everything here works on plain Python ints (arbitrary precision) and
 ``fractions.Fraction``.  All values are immutable and all functions pure.
+A square class, an element of Q*/(Q*)^2, is its squarefree integer.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -131,30 +131,6 @@ def is_perfect_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    """An element of Q*/(Q*)^2, represented by a squarefree nonzero integer."""
-
-    rep: int
-
-    def __post_init__(self):
-        if self.rep == 0:
-            raise ArithDomainError("square class representative must be nonzero")
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return square_class_mul(self, other)
-
-
-def squarefree_kernel(q) -> SquareClass:
-    """The unique squarefree s with q = s * (rational square).
-
-    Accepts ints, Fractions, or anything Fraction() takes.  A rational a/b
-    is reduced to the integer a*b, which is congruent to it mod squares.
-    """
-    q = Fraction(q)
-    return SquareClass(kernel_over(q, factorize(abs(q.numerator * q.denominator))))
-
-
 def kernel_over(q, primes) -> int:
     """The squarefree s with q = s * (rational square), read off primes.
 
@@ -173,11 +149,3 @@ def kernel_over(q, primes) -> int:
     if not is_perfect_square(rest):
         raise ArithDomainError(f"{q} is not a square times a product of {list(primes)}")
     return s
-
-
-def square_class_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    n = a.rep * b.rep
-    g = math.gcd(a.rep, b.rep)
-    # n = (n/g^2) * g^2 and n/g^2 is squarefree when a.rep, b.rep are
-    return SquareClass(n // (g * g))
-

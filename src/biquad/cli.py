@@ -4,7 +4,10 @@ Every subcommand prints a single JSON document on stdout (integers as
 decimal strings), diagnostics go to stderr, and the exit code is 0 iff
 the status is ok.  Bad input gets a typed status and exit code 1; an
 argument outside a function's domain (such as ``descent --N 1`` or a
-negative ``--bound``) gives ``domain_error``.
+negative ``--bound``) gives ``domain_error``.  A negative fraction must be
+joined to its flag, as in ``--u=-5/3``: argparse reads ``--u -5/3`` as a
+missing value and exits 2 with a usage error.  Negative integers such as
+``--m -2`` parse either way.
 
 Subcommands:
 
@@ -84,7 +87,7 @@ def _load_points_file(path: str, curve: Curve) -> list[Point]:
             continue
         try:
             obj = json.loads(line)
-            p = Point.from_json(obj, curve=curve)
+            p = Point.from_json(obj, curve)
         except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise CliError("parse_error", f"{path}:{i}: {exc}") from exc
         if not on_curve(p.curve, p):
@@ -121,7 +124,7 @@ def cmd_theorem1(args) -> int:
     descent = rank_lower_bound(N, args.bound, extra_points=[p1, p2])
     reg = regulator_report([p1, p2])
     payload = {
-        "curve": {"a2": "0", "b": str(curve.b)},
+        "curve": curve.to_json(),
         "N": str(N),
         "points": [p1.to_json(), p2.to_json()],
         "on_curve": [on_curve(curve, p1), on_curve(curve, p2)],
@@ -147,7 +150,7 @@ def cmd_theorem2(args) -> int:
     reg = regulator_report(points)
     payload = {
         "u": str(u),
-        "curve": {"a2": "0", "b": str(curve.b)},
+        "curve": curve.to_json(),
         "N": str(N),
         "N_of_u": str(euler_n(u)),
         "points": [p.to_json() for p in points],
@@ -170,7 +173,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_descent(args) -> int:
-    curve = Curve(0, -args.N)
+    curve = Curve(-args.N)
     extra = _load_points_file(args.points_file, curve) if args.points_file else []
     report = rank_lower_bound(args.N, args.bound, extra_points=extra)
     return _emit({"descent": report.to_json()}, "ok", args.pretty)
@@ -178,13 +181,13 @@ def cmd_descent(args) -> int:
 
 def cmd_height(args) -> int:
     try:
-        curve = Curve(0, args.curve)
+        curve = Curve(args.curve)
     except ValueError as exc:
         raise CliError("singular_curve", str(exc)) from exc
     p = _parse_point(curve, args.point)
     h = canonical_height(p)
     payload = {
-        "curve": {"a2": "0", "b": str(curve.b)},
+        "curve": curve.to_json(),
         "point": p.to_json(),
         "canonical_height": f"{h.value:.12f}",
         "abs_error": f"{h.abs_error:.3e}",

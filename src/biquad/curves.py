@@ -1,8 +1,10 @@
-"""Curves y^2 = x^3 + a2*x^2 + b*x over Q: group law, torsion, 2-isogeny.
+"""Curves y^2 = x^3 + b*x over Q: group law, torsion, 2-isogeny.
 
-Points are exact (``fractions.Fraction`` coordinates, always in lowest
-terms) and immutable.  The 2-isogeny pair connects y^2 = x^3 + b*x with
-its associated curve y^2 = x^3 - 4b*x; for b = -N this is x^3 + 4N*x.
+Every curve of the paper has this form, with b = -N or its associated
+b = 4N, so it is the only model here.  Points are exact
+(``fractions.Fraction`` coordinates, always in lowest terms) and
+immutable.  The 2-isogeny pair connects y^2 = x^3 + b*x with its
+associated curve y^2 = x^3 - 4b*x; for b = -N this is x^3 + 4N*x.
 """
 
 from __future__ import annotations
@@ -18,19 +20,18 @@ from .arith import ArithDomainError, is_perfect_square
 
 
 class CurveUsageError(ValueError):
-    """Mixing points of different curves, or an op needing a2 = 0."""
+    """Mixing points of different curves, or a point on the wrong curve."""
 
 
 @dataclass(frozen=True)
 class Curve:
-    """y^2 = x^3 + a2*x^2 + b*x with exact integer coefficients."""
+    """y^2 = x^3 + b*x with an exact integer coefficient b != 0."""
 
-    a2: int
     b: int
 
     def __post_init__(self):
-        if self.b * self.b * (self.a2 * self.a2 - 4 * self.b) == 0:
-            raise ArithDomainError(f"singular curve a2={self.a2}, b={self.b}")
+        if self.b == 0:
+            raise ArithDomainError(f"singular curve b={self.b}")
 
     def identity(self) -> "Point":
         return Point(self, None, None)
@@ -42,8 +43,11 @@ class Curve:
         return p
 
     def __str__(self):
-        mid = f"{self.a2:+d}*x^2 " if self.a2 else ""
-        return f"y^2 = x^3 {mid}{self.b:+d}*x"
+        return f"y^2 = x^3 {self.b:+d}*x"
+
+    def to_json(self) -> dict:
+        # the general model's x^2 coefficient, always 0 here, stays in the output
+        return {"a2": "0", "b": str(self.b)}
 
 
 @dataclass(frozen=True)
@@ -63,32 +67,20 @@ class Point:
             return self
         return Point(self.curve, self.x, -self.y)
 
-    def __add__(self, other: "Point") -> "Point":
-        return add(self, other)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return add(self, -other)
-
-    def __rmul__(self, k: int) -> "Point":
-        return scalar_mul(k, self)
-
     def to_json(self) -> dict:
         if self.is_identity:
             return {"identity": True}
         return {
-            "curve": {"a2": str(self.curve.a2), "b": str(self.curve.b)},
+            "curve": self.curve.to_json(),
             "x": {"num": str(self.x.numerator), "den": str(self.x.denominator)},
             "y": {"num": str(self.y.numerator), "den": str(self.y.denominator)},
         }
 
     @staticmethod
-    def from_json(obj: dict, curve: Optional[Curve] = None) -> "Point":
+    def from_json(obj: dict, curve: Curve) -> "Point":
+        """The point of ``to_json`` on curve; a "curve" key is ignored."""
         if obj.get("identity"):
-            if curve is None:
-                raise CurveUsageError("identity point needs an explicit curve")
             return curve.identity()
-        if curve is None:
-            curve = Curve(_json_int(obj["curve"]["a2"]), _json_int(obj["curve"]["b"]))
         x = Fraction(_json_int(obj["x"]["num"]), _json_int(obj["x"]["den"]))
         y = Fraction(_json_int(obj["y"]["num"]), _json_int(obj["y"]["den"]))
         return Point(curve, x, y)
@@ -109,7 +101,7 @@ def on_curve(c: Curve, p: Point) -> bool:
     if p.is_identity:
         return True
     x, y = p.x, p.y
-    return y * y == x * x * x + c.a2 * x * x + c.b * x
+    return y * y == x * x * x + c.b * x
 
 
 def add(p: Point, q: Point) -> Point:
@@ -120,15 +112,14 @@ def add(p: Point, q: Point) -> Point:
         return q
     if q.is_identity:
         return p
-    a2, b = p.curve.a2, p.curve.b
     if p.x == q.x:
         if p.y == -q.y:
             # vertical line; covers 2-torsion doubled (y = 0)
             return p.curve.identity()
-        lam = (3 * p.x * p.x + 2 * a2 * p.x + b) / (2 * p.y)
+        lam = (3 * p.x * p.x + p.curve.b) / (2 * p.y)
     else:
         lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - a2 - p.x - q.x
+    x3 = lam * lam - p.x - q.x
     y3 = lam * (p.x - x3) - p.y
     return Point(p.curve, x3, y3)
 
@@ -154,7 +145,7 @@ class TorsionKind(enum.Enum):
 
 
 def torsion_kind(b: int) -> TorsionKind:
-    """Torsion group of y^2 = x^3 + b*x (a2 = 0).
+    """Torsion group of y^2 = x^3 + b*x.
 
     Z/4Z iff b = 4t^4 (order 4 needs x^2 = b and y^2 = 2x^3, so x = 2t^2);
     Z/2Z x Z/2Z iff -b is a square; else Z/2Z, as for every b = -(m^4 + n^4).
@@ -168,13 +159,6 @@ def torsion_kind(b: int) -> TorsionKind:
     return TorsionKind.Z2
 
 
-def associated_curve(c: Curve) -> Curve:
-    """The 2-isogenous curve y^2 = x^3 - 4b*x."""
-    if c.a2 != 0:
-        raise CurveUsageError("associated curve defined for a2 = 0 only")
-    return Curve(0, -4 * c.b)
-
-
 def transfer_from_associated(q: Point) -> Point:
     """Map a point on y^2 = x^3 + 4N*x back to y^2 = x^3 - N*x.
 
@@ -183,9 +167,9 @@ def transfer_from_associated(q: Point) -> Point:
     to the identity.
     """
     c = q.curve
-    if c.a2 != 0 or c.b % 4 != 0:
+    if c.b % 4 != 0:
         raise CurveUsageError("source curve must be y^2 = x^3 + 4N*x")
-    target = Curve(0, -c.b // 4)
+    target = Curve(-c.b // 4)
     if q.is_identity or q.x == 0:
         return target.identity()
     X, Y = q.x, q.y

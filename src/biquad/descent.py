@@ -5,21 +5,22 @@ the space d*U^4 + (B/d)*V^4 = H^2; a solution with H != 0 lifts to the
 rational point (d*U^2/V^2, d*U*H/V^3), and every rational point with
 x != 0 has x = d * (square) with such a d (Silverman-Tate, III.5-6).  So
 every square class comes from the primes of B = -N or 4N: N is the only
-integer the descent factors.  The images of the descent maps on the curve
-and its associated curve are subgroups of Q*/(Q*)^2; if their found sizes
-are s and s', then rank >= log2(s*s') - 2.  Found classes can only
-undercount the true images, so the bound is always valid.
+integer the descent factors.  A class is its squarefree integer d, and
+the product of classes d and e is d*e / gcd(d, e)^2.  The images of the
+descent maps on the curve and its associated curve are subgroups of
+Q*/(Q*)^2; if their found sizes are s and s', then
+rank >= log2(s*s') - 2.  Found classes can only undercount the true
+images, so the bound is always valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import arith
-from .arith import ArithDomainError, SquareClass, kernel_over
-from .curves import Curve, CurveUsageError, Point, on_curve
+from .arith import ArithDomainError, kernel_over
+from .curves import CurveUsageError, on_curve
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,6 @@ class HomSpaceSolution:
     u_val: int
     v_val: int
     h_val: int
-
-    @property
-    def is_two_torsion_lift(self) -> bool:
-        return self.h_val == 0
 
     def to_json(self) -> dict:
         return {
@@ -50,20 +47,6 @@ def verify_solution(B: int, s: HomSpaceSolution) -> bool:
         raise CurveUsageError(f"d = {s.d} does not divide B = {B}")
     lhs = s.d * s.u_val**4 + (B // s.d) * s.v_val**4
     return lhs == s.h_val**2
-
-
-def lift_to_point(B: int, s: HomSpaceSolution) -> Point:
-    """The point (d u^2/v^2, d u h/v^3) on y^2 = x^3 + B*x.
-
-    An H = 0 solution lifts to a 2-torsion point (y = 0); callers can
-    recognize that case through ``is_two_torsion_lift``.
-    """
-    if not verify_solution(B, s):
-        raise CurveUsageError("solution does not satisfy its homogeneous space")
-    curve = Curve(0, B)
-    x = Fraction(s.d * s.u_val**2, s.v_val**2)
-    y = Fraction(s.d * s.u_val * s.h_val, s.v_val**3)
-    return curve.point(x, y)
 
 
 def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution]:
@@ -106,13 +89,13 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
 @dataclass
 class DescentReport:
     n: int
-    classes_e: list[int] = field(default_factory=list)
-    classes_e4: list[int] = field(default_factory=list)
-    s: int = 1
-    s_prime: int = 1
-    rank_lower_bound: int = 0
-    solutions_e: list[HomSpaceSolution] = field(default_factory=list)
-    solutions_e4: list[HomSpaceSolution] = field(default_factory=list)
+    classes_e: list[int]
+    classes_e4: list[int]
+    s: int
+    s_prime: int
+    rank_lower_bound: int
+    solutions_e: list[HomSpaceSolution]
+    solutions_e4: list[HomSpaceSolution]
 
     def to_json(self) -> dict:
         return {
@@ -128,15 +111,15 @@ class DescentReport:
 
 
 def _subgroup(classes: set[int]) -> set[int]:
-    """Closure of a set of square classes under multiplication.
+    """Closure of a set of squarefree classes under multiplication.
 
     Each generator outside the group so far doubles it by adding its coset.
     """
-    group = {SquareClass(1)}
-    for c in map(SquareClass, classes):
+    group = {1}
+    for c in classes:
         if c not in group:
-            group |= {g * c for g in group}
-    return {g.rep for g in group}
+            group |= {g * c // math.gcd(g, c) ** 2 for g in group}
+    return group
 
 
 def _point_classes(points, expect_b: int, primes) -> set[int]:
@@ -144,7 +127,7 @@ def _point_classes(points, expect_b: int, primes) -> set[int]:
     for p in points:
         if p.is_identity:
             continue
-        if p.curve.b != expect_b or p.curve.a2 != 0:
+        if p.curve.b != expect_b:
             raise CurveUsageError(
                 f"extra point lies on b={p.curve.b}, expected b={expect_b}"
             )

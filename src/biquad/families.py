@@ -213,7 +213,7 @@ def specialize_general(pt: ParametricPoint, m, n) -> Point:
     N = int(m) ** 4 + int(n) ** 4
     if N <= 0:
         raise DegenerateSpecializationError("N = m^4 + n^4 must be positive")
-    return _specialize(pt, Curve(0, -N), (m, n), f"(m, n) = ({m}, {n})")
+    return _specialize(pt, Curve(-N), (m, n), f"(m, n) = ({m}, {n})")
 
 
 def euler_degenerate(u) -> str | None:
@@ -242,7 +242,7 @@ def euler_integral_model(u) -> tuple[Curve, int]:
     q = u.denominator
     b = euler_n(u) * q**28
     assert Fraction(b).denominator == 1
-    return Curve(0, -int(b)), q
+    return Curve(-int(b)), q
 
 
 def specialize_euler(pt: ParametricPoint, u) -> Point:

@@ -2,8 +2,8 @@
 
 Normalization: hhat(P) = lim 4^-n log max(|num x(2^n P)|, den x(2^n P)),
 so hhat(2P) = 4 hhat(P) exactly and hhat is twice the classically
-normalized Neron-Tate height.  Only curves y^2 = x^3 + b*x are supported
-(every curve in this toolkit has a2 = 0).
+normalized Neron-Tate height, on the curves y^2 = x^3 + b*x of
+``biquad.curves``.
 
 Algorithm: split the doubling recursion on reduced fractions u/v into
 
@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .curves import Curve, CurveUsageError, Point, add
+from .curves import CurveUsageError, Point, add
 
 _DPS = 120
 _TARGET = 1e-12  # absolute error the iteration count aims for
@@ -143,12 +143,9 @@ def canonical_height(p: Point) -> HeightValue:
     reported abs_error is both geometric tail bounds plus 1e-20*max(1, |h|),
     a term below float64 rounding, so roundoff is not yet covered (ROADMAP item 4).
     """
-    c = p.curve
-    if c.a2 != 0:
-        raise HeightUsageError("canonical height implemented for a2 = 0 curves")
     if p.is_identity or _is_torsion(p):
         return HeightValue(0.0, 0.0)
-    b = c.b
+    b = p.curve.b
     d_const, log_d, log_bound = _curve_constants(b)
 
     worst = max(log_d, log_bound)

@@ -112,9 +112,6 @@ class BivarPoly:
             return NotImplemented
         return self.vars == other.vars and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
-
     # -- queries --------------------------------------------------------
 
     @property

@@ -1,9 +1,21 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from biquad.curves import add, scalar_mul
 from biquad.families import general_family_points, specialize_general
+
+
+def squarefree_part(q):
+    """Oracle for the square class of a nonzero rational: the signed product
+    of the primes that divide num * den to an odd power, from sympy."""
+    q = Fraction(q)
+    n = q.numerator * q.denominator
+    odd = [p for p, e in sympy.factorint(abs(n)).items() if e % 2]
+    return (-1 if n < 0 else 1) * math.prod(odd)
 
 
 def family_curve_points(m, n):

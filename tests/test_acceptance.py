@@ -76,7 +76,7 @@ def test_criterion_3_specialization_fidelity():
     p1 = specialize_general(p1s, 2, 1)
     p2 = specialize_general(p2s, 2, 1)
     ok = (
-        p1.curve == Curve(0, -17)
+        p1.curve == Curve(-17)
         and (p1.x, p1.y) == (-1, 4)
         and (p2.x, p2.y) == (Fraction(49, 9), Fraction(224, 27))
     )

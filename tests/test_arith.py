@@ -7,14 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from biquad.arith import (
     ArithDomainError,
-    SquareClass,
     factorize,
     is_perfect_square,
     is_probable_prime,
     kernel_over,
-    square_class_mul,
-    squarefree_kernel,
 )
+from conftest import squarefree_part
 
 
 def trial_division_oracle(n):
@@ -72,13 +70,13 @@ class TestFactorize:
 
 class TestSquarefreeKernel:
     def test_examples(self):
-        assert squarefree_kernel(68).rep == 17
-        assert squarefree_kernel(Fraction(49, 9)).rep == 1
-        assert squarefree_kernel(-17).rep == -17
+        assert kernel_over(68, [2, 17]) == 17
+        assert kernel_over(Fraction(49, 9), [3, 7]) == 1
+        assert kernel_over(-17, [17]) == -17
 
     def test_zero_rejected(self):
         with pytest.raises(ArithDomainError):
-            squarefree_kernel(0)
+            kernel_over(0, [2])
 
     # max_denominator keeps the factorizations cheap under hypothesis
     @given(
@@ -95,26 +93,9 @@ class TestSquarefreeKernel:
     )
     @settings(deadline=None)
     def test_square_multiple_invariance(self, q, r):
-        assert squarefree_kernel(q * r * r) == squarefree_kernel(q)
-
-
-class TestSquareClassGroup:
-    def test_examples(self):
-        assert square_class_mul(SquareClass(-1), SquareClass(-17)).rep == 17
-        assert square_class_mul(SquareClass(2), SquareClass(2)).rep == 1
-        assert square_class_mul(SquareClass(6), SquareClass(10)).rep == 15
-
-    sc = st.integers(min_value=-10**5, max_value=10**5).filter(lambda n: n != 0).map(
-        lambda n: squarefree_kernel(n)
-    )
-
-    @given(sc, sc, sc)
-    def test_group_axioms(self, a, b, c):
-        ab = square_class_mul(a, b)
-        assert ab == square_class_mul(b, a)
-        assert square_class_mul(ab, c) == square_class_mul(a, square_class_mul(b, c))
-        assert square_class_mul(a, a).rep == 1
-        assert square_class_mul(a, SquareClass(1)) == a
+        n = abs(q.numerator * q.denominator * r.numerator * r.denominator)
+        primes = list(factorize(n))
+        assert kernel_over(q * r * r, primes) == kernel_over(q, primes)
 
 
 class TestPerfectSquare:
@@ -137,7 +118,7 @@ class TestKernelOver:
     def test_matches_squarefree_kernel(self, others, used, sign, r2):
         # s = sign * (product of used) is a signed product of the primes
         q = sign * math.prod(used) * r2
-        assert kernel_over(q, sorted(others | used)) == squarefree_kernel(q).rep
+        assert kernel_over(q, sorted(others | used)) == squarefree_part(q)
 
     @given(
         prime_sets, signs, squares,

@@ -62,7 +62,7 @@ class TestTheorem1:
             )
             assert code == 0
             assert doc["on_curve"] == [True, True]
-            curve = Curve(0, int(doc["curve"]["b"]))
+            curve = Curve(int(doc["curve"]["b"]))
             for obj in doc["points"]:
                 p = curve.point(
                     Fraction(int(obj["x"]["num"]), int(obj["x"]["den"])),
@@ -132,7 +132,7 @@ class TestDescent:
 
     def test_points_file(self, capsys, tmp_path):
         path = tmp_path / "pts.jsonl"
-        p = Curve(0, -17).point(-1, 4)
+        p = Curve(-17).point(-1, 4)
         path.write_text(json.dumps(p.to_json()) + "\n\n")
         code, doc = run_cli(
             capsys, "descent", "--N", "17", "--bound", "1", "--points-file", str(path)
@@ -223,6 +223,11 @@ class TestHeight:
         code, doc = run_cli(capsys, "height", "--curve", "-17", "--point=-1,4")
         assert code == 1
         assert doc["status"] == "parse_error"
+
+    def test_singular_curve(self, capsys):
+        code, doc = run_cli(capsys, "height", "--curve", "0", "--point", "(0,0)")
+        assert code == 1
+        assert doc == {"status": "singular_curve", "error": "singular curve b=0"}
 
 
 @pytest.mark.parametrize(

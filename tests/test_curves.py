@@ -12,7 +12,6 @@ from biquad.curves import (
     Point,
     TorsionKind,
     add,
-    associated_curve,
     on_curve,
     scalar_mul,
     torsion_kind,
@@ -20,7 +19,7 @@ from biquad.curves import (
 )
 from conftest import random_family_point
 
-E17 = Curve(0, -17)
+E17 = Curve(-17)
 
 
 class TestOnCurve:
@@ -37,8 +36,8 @@ class TestOnCurve:
         assert on_curve(E17, E17.identity())
 
     def test_singular_rejected(self):
-        with pytest.raises(ArithDomainError):
-            Curve(0, 0)
+        with pytest.raises(ArithDomainError, match="singular curve b=0"):
+            Curve(0)
 
 
 class TestGroupLaw:
@@ -64,7 +63,7 @@ class TestGroupLaw:
 
     def test_mismatched_curves(self):
         p = E17.point(-1, 4)
-        q = Curve(0, -2).point(-1, 1)
+        q = Curve(-2).point(-1, 1)
         with pytest.raises(CurveUsageError):
             add(p, q)
 
@@ -115,7 +114,7 @@ class TestScalarMul:
             acc = add(acc, p)
 
     def test_no_doubling_past_top_bit(self, monkeypatch):
-        p = Curve(0, -635318657).point(137129, 49914956)
+        p = Curve(-635318657).point(137129, 49914956)
         expected = p
         for _ in range(6):
             expected = add(expected, expected)
@@ -148,7 +147,7 @@ class TestTorsion:
         Torsion points are integral (Nagell-Lutz) with y = 0 or y^2 | 4|b|^3,
         and x > 2|b| would give y^2 = x^3 + b*x > 6|b|^3, so |x| <= 2|b|.
         """
-        c = Curve(0, b)
+        c = Curve(b)
         tors = []
         for x in range(-2 * abs(b), 2 * abs(b) + 1):
             r = x**3 + b * x
@@ -180,29 +179,34 @@ class TestTorsion:
 
 class TestAssociatedAndTransfer:
     def test_coefficient(self):
-        assert associated_curve(E17).b == 68
-        assert associated_curve(Curve(0, -635318657)).b == 2541274628
+        # y^2 = x^3 + 4N*x maps back to y^2 = x^3 - N*x
+        assert transfer_from_associated(Curve(68).identity()).curve == E17
+        big = transfer_from_associated(Curve(2541274628).identity())
+        assert big.curve == Curve(-635318657)
+        with pytest.raises(CurveUsageError):
+            transfer_from_associated(Curve(-17).identity())
 
     def test_double_associated_scaling(self, rng):
-        # associated twice is the original scaled by (x/4, y/8), and the
-        # composite map equals multiplication by 2
+        # associated twice is the original scaled by (x, y) -> (4x, 8y) onto
+        # y^2 = x^3 + 16b*x, and transferring that back is the 2-isogeny
+        # phi(x, y) = (y^2/x^2, y(x^2 - b)/x^2) onto y^2 = x^3 - 4b*x
         for _ in range(10):
             p = random_family_point(rng)
-            e = p.curve
-            ee = associated_curve(associated_curve(e))
-            assert ee.b == 16 * e.b
-            q = Point(ee, 4 * p.x, 8 * p.y)
-            assert on_curve(ee, q)
+            b = p.curve.b
+            q = Curve(16 * b).point(4 * p.x, 8 * p.y)
+            r = transfer_from_associated(q)
+            phi = (p.y**2 / p.x**2, p.y * (p.x**2 - b) / p.x**2)
+            assert r == Curve(-4 * b).point(*phi)
 
     def test_transfer_known_point(self):
-        e4 = Curve(0, 68)
+        e4 = Curve(68)
         q = e4.point(18, 84)
         p = transfer_from_associated(q)
         assert (p.x, p.y) == (Fraction(49, 9), Fraction(224, 27))
         assert p.curve == E17
 
     def test_transfer_kernel(self):
-        e4 = Curve(0, 68)
+        e4 = Curve(68)
         assert transfer_from_associated(e4.point(0, 0)).is_identity
         assert transfer_from_associated(e4.identity()).is_identity
 
@@ -211,7 +215,7 @@ class TestAssociatedAndTransfer:
         for _ in range(20):
             p = random_family_point(rng)
             e = p.curve
-            e4 = associated_curve(e)
+            e4 = Curve(-4 * e.b)
             # up: phi(x, y) = (y^2/x^2, y(x^2 - b)/x^2) lands on e4
             if p.x == 0:
                 continue
@@ -228,7 +232,7 @@ class TestJson:
         p = E17.point(Fraction(49, 9), Fraction(224, 27))
         obj = p.to_json()
         assert obj["curve"] == {"a2": "0", "b": "-17"}
-        assert Point.from_json(obj) == p
+        assert Point.from_json(obj, E17) == p
 
     def test_identity_encoding(self):
         assert E17.identity().to_json() == {"identity": True}

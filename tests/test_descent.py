@@ -5,17 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from biquad.arith import ArithDomainError, factorize, squarefree_kernel
-from biquad.curves import Curve, CurveUsageError, Point, on_curve
+from biquad.arith import ArithDomainError, factorize, kernel_over
+from biquad.curves import Curve, CurveUsageError, Point
 from biquad.descent import (
     HomSpaceSolution,
     _subgroup,
-    lift_to_point,
     rank_lower_bound,
     search_solutions,
     verify_solution,
 )
 from biquad.families import euler_family_points, specialize_euler
+from conftest import squarefree_part
 
 
 def exhaustive_oracle(B, bound):
@@ -48,35 +48,6 @@ class TestVerifySolution:
     def test_non_divisor_rejected(self):
         with pytest.raises(CurveUsageError):
             verify_solution(-17, HomSpaceSolution(3, 1, 1, 1))
-
-
-class TestLift:
-    def test_p1_up_to_sign(self):
-        p = lift_to_point(-17, HomSpaceSolution(-1, 1, 1, 4))
-        assert p.x == -1 and abs(p.y) == 4
-
-    def test_q1(self):
-        p = lift_to_point(68, HomSpaceSolution(2, 3, 1, 14))
-        assert (p.x, p.y) == (18, 84)
-
-    def test_two_torsion_branch_x_zero(self):
-        # u = 0 lifts to (0, 0)
-        s = HomSpaceSolution(-17, 0, 1, 1)
-        assert verify_solution(-17, s)
-        p = lift_to_point(-17, s)
-        assert (p.x, p.y) == (0, 0)
-
-    def test_two_torsion_branch_h_zero(self):
-        # H = 0 lifts to a point with x^2 = -B
-        s = HomSpaceSolution(1, 2, 1, 0)
-        assert verify_solution(-16, s)
-        assert s.is_two_torsion_lift
-        p = lift_to_point(-16, s)
-        assert p.y == 0 and p.x == 4
-
-    def test_invalid_solution_rejected(self):
-        with pytest.raises(CurveUsageError):
-            lift_to_point(-17, HomSpaceSolution(1, 1, 1, 1))
 
 
 class TestSearch:
@@ -116,9 +87,12 @@ class TestSearch:
             for s in search_solutions(B, 4, list(factorize(abs(B)))):
                 assert verify_solution(B, s)
                 if s.h_val != 0 and s.u_val != 0:
-                    p = lift_to_point(B, s)
-                    assert on_curve(Curve(0, B), p)
-                    assert squarefree_kernel(p.x) == squarefree_kernel(s.d)
+                    # the lift (d u^2/v^2, d u h/v^3); point() checks it is on the curve
+                    u, v, h = s.u_val, s.v_val, s.h_val
+                    p = Curve(B).point(
+                        Fraction(s.d * u * u, v * v), Fraction(s.d * u * h, v**3)
+                    )
+                    assert kernel_over(p.x, list(factorize(abs(B)))) == s.d
 
     def test_deterministic_order(self):
         sols = search_solutions(-17, 5, [17])
@@ -155,14 +129,14 @@ class TestRankLowerBound:
         assert r.rank_lower_bound >= 2
 
     def test_wrong_curve_points_rejected(self):
-        p = Curve(0, -2).point(-1, 1)
+        p = Curve(-2).point(-1, 1)
         with pytest.raises(CurveUsageError):
             rank_lower_bound(17, 3, extra_points=[p])
 
     def test_off_curve_point_rejected(self):
         # (2, 1) is not on y^2 = x^3 - 17x; counting its class 2 would
         # raise the bound to 3, above the true rank 2
-        p = Point(Curve(0, -17), Fraction(2), Fraction(1))
+        p = Point(Curve(-17), Fraction(2), Fraction(1))
         with pytest.raises(CurveUsageError):
             rank_lower_bound(17, 10, extra_points=[p])
 
@@ -185,7 +159,7 @@ squarefree = st.sets(st.sampled_from([-1, 2, 3, 5, 7, 11, 13])).map(math.prod)
 @given(st.lists(squarefree, max_size=6))
 def test_subgroup_is_all_subset_products(gens):
     expected = {
-        squarefree_kernel(math.prod(sub)).rep
+        squarefree_part(math.prod(sub))
         for r in range(len(gens) + 1)
         for sub in itertools.combinations(gens, r)
     }

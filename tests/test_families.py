@@ -83,7 +83,7 @@ class TestGeneralFamily:
         p1, p2 = general_family_points()
         q1 = specialize_general(p1, 2, 1)
         q2 = specialize_general(p2, 2, 1)
-        assert q1.curve == Curve(0, -17)
+        assert q1.curve == Curve(-17)
         assert (q1.x, q1.y) == (Fraction(-1), Fraction(4))
         assert (q2.x, q2.y) == (Fraction(49, 9), Fraction(224, 27))
 
