@@ -78,7 +78,13 @@ class Point:
 
     @staticmethod
     def from_json(obj: dict, curve: Curve) -> "Point":
-        """The point of ``to_json`` on curve; a "curve" key is ignored."""
+        """The point of ``to_json`` on curve.
+
+        A "curve" key must equal ``curve.to_json()``; a point that names
+        another curve raises ValueError instead of being moved to this one.
+        """
+        if "curve" in obj and obj["curve"] != curve.to_json():
+            raise ValueError(f"point is on curve {obj['curve']}, expected {curve.to_json()}")
         if obj.get("identity"):
             return curve.identity()
         x = Fraction(_json_int(obj["x"]["num"]), _json_int(obj["x"]["den"]))

@@ -11,16 +11,61 @@ descent maps on the curve and its associated curve are subgroups of
 Q*/(Q*)^2; if their found sizes are s and s', then
 rank >= log2(s*s') - 2.  Found classes can only undercount the true
 images, so the bound is always valid.
+
+The search skips work only where exact arithmetic shows there is no
+solution (Silverman, AEC X.4; Cremona, Algorithms 3.5-3.6).
+
+Local pruning.  If d < 0 and B/d < 0, the left side is negative for
+every (U, V) with V != 0: the space has no real point.  At an odd prime
+p with p || B:
+
+    Lemma.  Let d*U^4 + (B/d)*V^4 = H^2 with integers U, V, H,
+    gcd(U, V) = 1 and V != 0.  If p does not divide d, then d is a
+    non-zero square mod p; if p | d, then B/d is one.
+
+    Proof.  Let p not divide d, so v_p(B/d) = 1.  If p | U (this
+    includes U = 0, and then V = 1), then p does not divide V, so
+    v_p(d*U^4) >= 4 while v_p((B/d)*V^4) = 1: the left side is non-zero
+    with odd valuation 1.  But H^2 is either 0 (H = 0) or of even
+    valuation, a contradiction.  So p does not divide U, and
+    H^2 = d*U^4 (mod p) with d*U^4 non-zero mod p: d = (H/U^2)^2 mod p.
+    If p | d, then p does not divide B/d, and the same argument with
+    (d, U) and (B/d, V) exchanged applies (p | V forces p not to divide
+    U, so d*U^4 has valuation 1).  QED
+
+A space failing either condition has no rational point, so none is
+searched.  With d written as its exponent vector over GF(2) (the sign,
+then one bit per prime), both conditions at p are one character:
+(d/p) = (-1/p)^sign * prod (q/p) over the other primes q | d, and for
+p | d, ((B/d)/p) = ((B/p)/p) * (d/p with p removed).  A space survives
+p when the parity of (its mask & M_p) is 0, where M_p marks the
+non-residues mod p among -1, the other primes and B/p.
+
+Residue sieve.  In the spaces left, each (d, u, v) is tested modulo a
+fixed list of small moduli before any square root is taken.  If
+d*u^4 + (B/d)*v^4 = h^2, then its residue mod m is h^2 mod m, a square
+mod m (0 included), so a solution passes every modulus: the sieve
+drops only non-squares.  Only the few survivors reach math.isqrt.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith
 from .arith import ArithDomainError, kernel_over
 from .curves import CurveUsageError, on_curve
+
+# The sieve moduli, grouped so that each product fits a lookup table:
+# 64 * 63 * 65, then 11 * 17 * 19 * 23, 29 * 31 * 37, 41 * 43 * 47 and
+# 53 * 59 * 61.  Any two residues below a modulus multiply within int64.
+_MODULI = (262080, 81719, 33263, 82861, 190747)
+_MODS = np.array(_MODULI, dtype=np.int64)[:, None]  # a column, to broadcast
+_CHUNK = 2**13  # (d, u, v) triples per pass of the sieve
 
 
 @dataclass(frozen=True)
@@ -49,6 +94,53 @@ def verify_solution(B: int, s: HomSpaceSolution) -> bool:
     return lhs == s.h_val**2
 
 
+@functools.cache
+def _squares(m: int) -> np.ndarray:
+    """is_square[r] for 0 <= r < m: r is a square modulo m."""
+    table = np.zeros(m, dtype=bool)
+    # h and m - h have the same square; slices keep the temporaries small
+    for h0 in range(0, m // 2 + 1, 2**14):
+        h = np.arange(h0, min(h0 + 2**14, m // 2 + 1), dtype=np.int64)
+        table[h * h % m] = True
+    return table
+
+
+def _divisor(mask: int, primes: list[int]) -> int:
+    """The d of a mask: bit 0 is its sign, bit j + 1 says primes[j] | d."""
+    d = math.prod(p for j, p in enumerate(primes) if mask >> (j + 1) & 1)
+    return -d if mask & 1 else d
+
+
+def _local_spaces(B: int, primes: list[int]) -> np.ndarray:
+    """Masks of the spaces with a real point and a point mod every odd p || B.
+
+    Bit t + 1 of fails[mask] is the character of the t-th such p, bit 0
+    that of the real place; a space survives when all of them are 0.
+    Characters are additive in the mask, so fails is built by doubling.
+    """
+    odd = [p for p in primes if p > 2 and B % (p * p)]
+    fails = np.zeros(1, dtype=np.int64)
+    for g in [-1, *primes]:
+        bits = int(g == -1 and B > 0)
+        for t, p in enumerate(odd):
+            if pow(B // p if g == p else g, (p - 1) // 2, p) != 1:
+                bits |= 2 << t
+        fails = np.concatenate([fails, fails ^ bits])
+    return np.flatnonzero(fails == 0)
+
+
+def _residues(B: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """d and B/d modulo each sieve modulus (rows), for every mask (columns)."""
+    d = np.ones_like(_MODS)
+    c = np.array([[B // math.prod(primes) % m] for m in _MODULI], dtype=np.int64)
+    for g in [-1, *primes]:
+        r = np.array([[g % m] for m in _MODULI], dtype=np.int64)
+        d = np.hstack([d, d * r % _MODS])
+        # a prime moves from B/d into d; the sign flips on both sides
+        c = np.hstack([c * r % _MODS, c] if g > 0 else [c, c * r % _MODS])
+    return d, c
+
+
 def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution]:
     """All solutions with coprime 0 <= u, 1 <= v, max(u, v) <= bound.
 
@@ -57,33 +149,72 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
     duplicates u > 0 (fourth powers), so only u >= 0 is emitted.
     Deterministic order: |d| ascending, positive d before negative,
     then u, then v.
+
+    Spaces that fail the local test hold no solution and are skipped.
+    In the others, every (d, u, v) goes through the residue sieve in
+    batches of rows (d, u) times a run of v, at most about _CHUNK triples
+    each, so memory is O(_CHUNK + bound), never O(bound^2); survivors of
+    the first modulus are pooled across batches for the rest.  Only what
+    passes every modulus gets the coprimality test and the exact square
+    root.
     """
     if B == 0:
         raise ArithDomainError("B must be nonzero")
-    if any(p < 2 or B % p for p in primes):
-        raise ArithDomainError(f"not all of {list(primes)} divide B = {B}")
-    out: list[HomSpaceSolution] = []
-    divisors = [1]
-    for p in set(primes):
-        divisors += [d * p for d in divisors]
-    divisors = sorted(divisors + [-d for d in divisors], key=lambda d: (abs(d), d < 0))
-    fourth = [k**4 for k in range(height_bound + 1)]
-    coprime = [[v for v in range(1, height_bound + 1) if math.gcd(u, v) == 1]
-               for u in range(height_bound + 1)]
-    for d in divisors:
-        comp = B // d
-        comp4 = [comp * f for f in fourth]
-        for u, vs in enumerate(coprime):
-            du4 = d * fourth[u]
-            for v in vs:
-                lhs = du4 + comp4[v]
-                if lhs >= 0:
-                    h = math.isqrt(lhs)
-                    if h * h == lhs:
-                        out.append(HomSpaceSolution(d, u, v, h))
-                elif comp < 0:
-                    break  # lhs only falls as v grows
-    return out
+    # the local test at p is a Legendre symbol: p must be prime
+    if any(p < 2 or B % p or not arith.is_probable_prime(p) for p in primes):
+        raise ArithDomainError(f"not all of {list(primes)} are primes dividing B = {B}")
+    primes = sorted(set(primes))
+    masks = _local_spaces(B, primes)
+    n = height_bound
+    if n == 0:
+        return []
+    d_res, c_res = _residues(B, primes)
+    d_res, c_res = d_res[:, masks], c_res[:, masks]
+    pow4 = np.arange(n + 1) % _MODS
+    pow4 = pow4 * pow4 % _MODS
+    pow4 = pow4 * pow4 % _MODS
+
+    found = []
+
+    def finish(s, u, v):
+        """The remaining moduli, coprimality, then the exact check."""
+        for i in range(1, len(_MODULI)):
+            r = (d_res[i, s] * pow4[i, u] + c_res[i, s] * pow4[i, v]) % _MODULI[i]
+            keep = _squares(_MODULI[i])[r]
+            s, u, v = s[keep], u[keep], v[keep]
+        keep = np.gcd(u, v) == 1
+        s, u, v = masks[s[keep]].tolist(), u[keep].tolist(), v[keep].tolist()
+        for mask, x, y in zip(s, u, v):
+            d = _divisor(mask, primes)
+            lhs = d * x**4 + B // d * y**4
+            if lhs >= 0:
+                h = math.isqrt(lhs)
+                if h * h == lhs:
+                    found.append(HomSpaceSolution(d, x, y, h))
+
+    m0, squares0 = _MODULI[0], _squares(_MODULI[0])
+    width = min(n, _CHUNK)
+    rows = max(1, _CHUNK // width)
+    n_rows = masks.size * (n + 1)  # row (s, u) is s * (n + 1) + u
+    pool, pooled = [], 0
+    for r0 in range(0, n_rows, rows):
+        s, u = np.divmod(np.arange(r0, min(r0 + rows, n_rows)), n + 1)
+        a = (d_res[0, s] * pow4[0, u] % m0)[:, None]
+        c = c_res[0, s][:, None]
+        for v0 in range(1, n + 1, width):
+            v = np.arange(v0, min(v0 + width, n + 1))
+            i, j = np.nonzero(squares0[(a + c * pow4[0, v]) % m0])
+            if not i.size:
+                continue
+            pool.append((s[i], u[i], v[j]))
+            pooled += i.size
+            if pooled >= _CHUNK:
+                finish(*map(np.concatenate, zip(*pool)))
+                pool, pooled = [], 0
+    if pooled:
+        finish(*map(np.concatenate, zip(*pool)))
+    found.sort(key=lambda s: (abs(s.d), s.d < 0, s.u_val, s.v_val))
+    return found
 
 
 @dataclass

@@ -170,6 +170,9 @@ class TestDescent:
             '{"x": {"num": "1", "den": "0"}, "y": {"num": "1", "den": "1"}}',
             '{"x": {"num": -1.9, "den": 1}, "y": {"num": 4, "den": 1}}',
             '{"x": {"num": -1, "den": true}, "y": {"num": 4, "den": 1}}',
+            # (-1, 4) is on y^2 = x^3 - 17x, but the line names another curve
+            '{"curve": {"a2": "1", "b": "5"}, "x": {"num": "-1", "den": "1"},'
+            ' "y": {"num": "4", "den": "1"}}',
         ],
         ids=[
             "list",
@@ -179,6 +182,7 @@ class TestDescent:
             "zero-denominator",
             "fractional-number",
             "bool",
+            "other-curve",
         ],
     )
     def test_points_file_malformed_line(self, capsys, tmp_path, line):

@@ -1,14 +1,18 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from biquad import descent
 from biquad.arith import ArithDomainError, factorize, kernel_over
 from biquad.curves import Curve, CurveUsageError, Point
 from biquad.descent import (
     HomSpaceSolution,
+    _divisor,
+    _local_spaces,
     _subgroup,
     rank_lower_bound,
     search_solutions,
@@ -107,6 +111,68 @@ class TestSearch:
         for primes in ([3], [2, 17], [17, 1]):
             with pytest.raises(ArithDomainError):
                 search_solutions(-17, 3, primes)
+
+    def test_composite_rejected(self):
+        # 15 || -60, but a Legendre symbol mod 15 would prune real solutions
+        for primes in ([15], [2, 15]):
+            with pytest.raises(ArithDomainError):
+                search_solutions(-60, 3, primes)
+
+
+# B = sign * prod p^e from a few small primes: p || B and p^2 | B both occur
+factored_b = st.tuples(
+    st.sampled_from([1, -1]),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 17]), st.integers(1, 3), max_size=3),
+).filter(lambda t: math.prod(p**e for p, e in t[1].items()) <= 5000)
+
+
+def b_and_primes(t):
+    sign, factors = t
+    return sign * math.prod(p**e for p, e in factors.items()), sorted(factors)
+
+
+class TestPrunedSieve:
+    @settings(max_examples=40, deadline=None)
+    @given(factored_b, st.integers(0, 12), st.sampled_from([1, 7, 64]))
+    @example((-1, {17: 1}), 12, 1)
+    @example((1, {2: 2, 17: 1}), 12, 7)  # 68 = 4 * 17, the associated curve of N = 17
+    @example((-1, {3: 2, 5: 1, 7: 1}), 12, 64)
+    def test_chunked_search_matches_oracle(self, t, bound, chunk):
+        # chunk edges fall inside rows, between spaces and inside the pool
+        B, primes = b_and_primes(t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(descent, "_CHUNK", chunk)
+            found = [(s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(B, bound, primes)]
+        key = lambda t: (abs(t[0]), t[0] < 0, t[1], t[2])
+        assert found == sorted(exhaustive_oracle(B, bound), key=key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factored_b)
+    def test_pruned_spaces_have_no_solution(self, t):
+        B, primes = b_and_primes(t)
+        kept = set(_local_spaces(B, primes).tolist())
+        pruned = {_divisor(m, primes) for m in range(2 << len(primes)) if m not in kept}
+        assert not pruned & {d for d, *_ in exhaustive_oracle(B, 30)}
+
+    def test_local_test_prunes(self):
+        # 3 || -3: (-1/3) = -1 rules out d = -1 and, since B/3 = -1, d = 3
+        assert {_divisor(m, [3]) for m in _local_spaces(-3, [3])} == {1, -3}
+        # B > 0: d < 0 gives B/d < 0, no real point; 2 is a square mod 17
+        assert {_divisor(m, [2, 17]) for m in _local_spaces(68, [2, 17])} == {1, 2, 17, 34}
+        # 3^2 | B: no test at 3
+        assert len(_local_spaces(-9, [3])) == 4
+
+    def test_memory_does_not_grow_with_bound(self):
+        search_solutions(-17, 1, [17])  # builds the fixed residue tables
+        tracemalloc.start()
+        try:
+            sols = search_solutions(-17, 1000, [17])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (-1, 2, 5, 103) in [(s.d, s.u_val, s.v_val, s.h_val) for s in sols]
+        # one int64 array over the 10^6 pairs of the box would take 8 MB
+        assert peak < 3 * 2**20
 
 
 class TestRankLowerBound:
