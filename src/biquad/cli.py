@@ -111,28 +111,35 @@ def cmd_verify_identities(args) -> int:
     return _emit(payload, status, args.pretty)
 
 
-def cmd_theorem1(args) -> int:
-    m, n = args.m, args.n
-    p1_sym, p2_sym = general_family_points()
-    try:
-        p1 = specialize_general(p1_sym, m, n)
-        p2 = specialize_general(p2_sym, m, n)
-    except DegenerateSpecializationError as exc:
-        raise CliError("degenerate", str(exc)) from exc
-    curve = p1.curve
+def _witness(args, curve: Curve, points: list[Point], rank: int, u=None) -> int:
+    """Emit the rank witness of specialized family points on one curve.
+
+    theorem2 passes its parameter u, which adds "u" and "N_of_u".
+    """
     N = -curve.b
-    descent = rank_lower_bound(N, args.bound, extra_points=[p1, p2])
-    reg = regulator_report([p1, p2])
-    payload = {
-        "curve": curve.to_json(),
-        "N": str(N),
-        "points": [p1.to_json(), p2.to_json()],
-        "on_curve": [on_curve(curve, p1), on_curve(curve, p2)],
+    descent = rank_lower_bound(N, args.bound, extra_points=points)
+    reg = regulator_report(points)
+    payload = {} if u is None else {"u": str(u)}
+    payload["curve"] = curve.to_json()
+    payload["N"] = str(N)
+    if u is not None:
+        payload["N_of_u"] = str(euler_n(u))
+    payload |= {
+        "points": [p.to_json() for p in points],
+        "on_curve": [on_curve(curve, p) for p in points],
         "regulator": reg,
         "descent": descent.to_json(),
-        "verdict": "rank >= 2" if reg["independent"] else "inconclusive",
+        "verdict": f"rank >= {rank}" if reg["independent"] else "inconclusive",
     }
     return _emit(payload, "ok", args.pretty)
+
+
+def cmd_theorem1(args) -> int:
+    try:
+        points = [specialize_general(p, args.m, args.n) for p in general_family_points()]
+    except DegenerateSpecializationError as exc:
+        raise CliError("degenerate", str(exc)) from exc
+    return _witness(args, points[0].curve, points, 2)
 
 
 def cmd_theorem2(args) -> int:
@@ -141,25 +148,11 @@ def cmd_theorem2(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("parse_error", f"bad rational {args.u!r}") from exc
     try:
-        curve, _ = euler_integral_model(u)
+        curve = euler_integral_model(u)
         points = [specialize_euler(p, u) for p in euler_family_points()]
     except DegenerateSpecializationError as exc:
         raise CliError("degenerate", str(exc)) from exc
-    N = -curve.b
-    descent = rank_lower_bound(N, args.bound, extra_points=points)
-    reg = regulator_report(points)
-    payload = {
-        "u": str(u),
-        "curve": curve.to_json(),
-        "N": str(N),
-        "N_of_u": str(euler_n(u)),
-        "points": [p.to_json() for p in points],
-        "on_curve": [on_curve(curve, p) for p in points],
-        "regulator": reg,
-        "descent": descent.to_json(),
-        "verdict": "rank >= 4" if reg["independent"] else "inconclusive",
-    }
-    return _emit(payload, "ok", args.pretty)
+    return _witness(args, curve, points, 4, u)
 
 
 def cmd_search(args) -> int:
@@ -173,8 +166,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_descent(args) -> int:
-    curve = Curve(-args.N)
-    extra = _load_points_file(args.points_file, curve) if args.points_file else []
+    extra = _load_points_file(args.points_file, Curve(-args.N)) if args.points_file else []
     report = rank_lower_bound(args.N, args.bound, extra_points=extra)
     return _emit({"descent": report.to_json()}, "ok", args.pretty)
 

@@ -1,21 +1,27 @@
 """Parametric families of curves and points built from fourth-power sums.
 
-Two families:
+Every polynomial here is a binary form: in (m, n) for the general family
+and in (u, w) for Euler's, whose parameter is the ratio u/w.
 
 * general: y^2 = x^3 - (m^4 + n^4)x with two parametric points coming from
   quartic-space solutions at d = -1 (on the curve) and d = 2 (on the
   associated curve, transferred back).
 
 * euler: the degree-7 quadruple (A, B, C, D) with A^4 + B^4 = C^4 + D^4
-  identically; with w = 1 the common value N(u) factors into four even
-  polynomials and the curve y^2 = x^3 - N(u)x carries four parametric
-  points.
+  identically; the common value N = f1*f2*f3*f4 is a form of degree 28
+  with even factors of degrees 4, 8, 8, 8, and the curve y^2 = x^3 - N*x
+  carries four parametric points.  P2 and P4 are the general family's P1
+  and P2 at (m, n) = (B, A).
 
-A point is kept in weighted coordinates: three integer polynomials
-(x, y, z) standing for (x/z^2, y/z^3).  Every identity is then an exact
-equality of polynomials: on the curve y^2 = x^3 - N*x*z^4, on the
-associated curve y^2 = x^3 + 4N*x*z^4, and two x-coordinates agree iff
-x*z'^2 = x'*z^2.
+A point is kept in weighted coordinates: three forms (x, y, z) standing
+for (x/z^2, y/z^3), with deg x - 2 deg z = 14 and deg y - 3 deg z = 21 on
+the Euler curve.  Every identity is then an exact equality of
+polynomials: on the curve y^2 = x^3 + b*x*z^4 with b = -N, or b = 4N on
+the associated curve, and two x-coordinates agree iff x*z'^2 = x'*z^2.
+
+Specialization evaluates the forms at integers.  At u = p/q in lowest
+terms that is the point (p, q): N(p, q) = q^28 N(u) is the integral
+model, and the point lands on it with no rescaling.
 """
 
 from __future__ import annotations
@@ -25,16 +31,15 @@ from fractions import Fraction
 
 from .arith import ArithDomainError
 from .curves import Curve, Point
-from .poly import BivarPoly, PolyUsageError, univariate
+from .poly import BivarPoly, PolyUsageError, binary_form
 
-U = ("u",)
 UW = ("u", "w")
 MN = ("m", "n")
 
 
 class DegenerateSpecializationError(ArithDomainError):
-    """Parameter values where a denominator vanishes, N <= 0, or the two
-    fourth-power representations collapse into one."""
+    """Parameter values where a denominator vanishes, a point is 2-torsion,
+    N <= 0, or the two fourth-power representations collapse into one."""
 
 
 @dataclass(frozen=True)
@@ -51,29 +56,25 @@ class ParametricPoint:
 
 
 # ---------------------------------------------------------------------------
-# Euler's quadruple and the factored N(u)
+# Euler's quadruple and the factored N(u, w)
 # ---------------------------------------------------------------------------
 
 
-def _uw(coeffs: dict) -> BivarPoly:
-    return BivarPoly(UW, coeffs)
-
-
 def euler_quadruple() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:
-    """The four homogeneous degree-7 polynomials with A^4+B^4 = C^4+D^4."""
-    a = _uw({(7, 0): 1, (5, 2): 1, (3, 4): -2, (2, 5): 3, (1, 6): 1})
-    b = _uw({(6, 1): 1, (5, 2): -3, (4, 3): -2, (2, 5): 1, (0, 7): 1})
-    c = _uw({(7, 0): 1, (5, 2): 1, (3, 4): -2, (2, 5): -3, (1, 6): 1})
-    d = _uw({(6, 1): 1, (5, 2): 3, (4, 3): -2, (2, 5): 1, (0, 7): 1})
+    """The four forms of degree 7 with A^4 + B^4 = C^4 + D^4."""
+    a = binary_form(UW, [0, 1, 3, -2, 0, 1, 0, 1])
+    b = binary_form(UW, [1, 0, 1, 0, -2, -3, 1, 0])
+    c = binary_form(UW, [0, 1, -3, -2, 0, 1, 0, 1])
+    d = binary_form(UW, [1, 0, 1, 0, -2, 3, 1, 0])
     return a, b, c, d
 
 
 def euler_n_factors() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:
-    """The four even factors of N(u) = A(u,1)^4 + B(u,1)^4."""
-    f1 = univariate("u", [1, 0, 6, 0, 1])
-    f2 = univariate("u", [1, 0, 0, 0, -1, 0, 0, 0, 1])
-    f3 = univariate("u", [1, 0, -4, 0, 8, 0, -4, 0, 1])
-    f4 = univariate("u", [1, 0, 2, 0, 11, 0, 2, 0, 1])
+    """The four even factors f1..f4 of N = A^4 + B^4."""
+    f1 = binary_form(UW, [1, 0, 6, 0, 1])
+    f2 = binary_form(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
+    f3 = binary_form(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
+    f4 = binary_form(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
     return f1, f2, f3, f4
 
 
@@ -82,10 +83,11 @@ def euler_n_poly() -> BivarPoly:
     return f1 * f2 * f3 * f4
 
 
-def euler_n(u):
-    """N(u) as an exact value: an int when it is integral, else a Fraction."""
-    v = euler_n_poly().evaluate(Fraction(u))
-    return v.numerator if v.denominator == 1 else v
+def euler_n(u) -> Fraction:
+    """N(u) = N(p, q)/q^28 for u = p/q, as an exact value."""
+    u = Fraction(u)
+    p, q = u.numerator, u.denominator
+    return Fraction(euler_n_poly().evaluate(p, q), q**28)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +95,8 @@ def euler_n(u):
 # ---------------------------------------------------------------------------
 
 
-def _mn(coeffs: dict) -> BivarPoly:
-    return BivarPoly(MN, coeffs)
-
-
 def general_n_poly() -> BivarPoly:
-    return _mn({(4, 0): 1, (0, 4): 1})
+    return binary_form(MN, [1, 0, 0, 0, 1])
 
 
 def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
@@ -118,23 +116,22 @@ def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
 
 
 def _euler_building_blocks():
-    f1, f2, f3, f4 = euler_n_factors()
-    g = univariate("u", [1, 3, -2, 0, 1, 0, 1])           # A(u,1)/u
-    h = univariate("u", [1, 1, 4, -2, -2, -2, 1, 1])      # A(u,1)+B(u,1)
-    w14 = univariate(
-        "u", [1, 1, 6, 5, 5, -21, -5, -2, 13, 15, -1, -7, 0, 1, 1]
-    )
-    t10 = univariate("u", [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
-    return f1, f2, f3, f4, g, h, w14, t10
+    """A, B, f1..f4, and the forms t10 and y1fac of degrees 10 and 6."""
+    a, b, _, _ = euler_quadruple()
+    t10 = binary_form(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
+    y1fac = binary_form(UW, [-5, 0, 4, 0, 1, 0, 1])
+    return a, b, *euler_n_factors(), t10, y1fac
 
 
 def euler_associated_points() -> tuple[ParametricPoint, ParametricPoint]:
-    """Q1, Q2 on the associated curve y^2 = x^3 + 4*N(u)*x."""
-    f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
-    u = BivarPoly.var(U, "u")
-    one = BivarPoly.const(U, 1)
-    q1 = ParametricPoint(2 * h**2, 4 * h * w14, one)
-    q2 = ParametricPoint(4 * u**2 * f2 * f3, 4 * u * f2 * f3 * t10, one)
+    """Q1, Q2 on the associated curve y^2 = x^3 + 4*N*x."""
+    a, b, f1, f2, f3, f4, t10, _ = _euler_building_blocks()
+    u = BivarPoly.var(UW, "u")
+    w = BivarPoly.var(UW, "w")
+    h = a + b
+    one = BivarPoly.const(UW, 1)
+    q1 = ParametricPoint(2 * h**2, 4 * h * (a**2 + a * b + b**2), one)
+    q2 = ParametricPoint(4 * u**2 * f2 * f3, 4 * u * f2 * f3 * t10, w**2)
     return q1, q2
 
 
@@ -150,31 +147,29 @@ def transfer_parametric(q: ParametricPoint, n_expr: BivarPoly) -> ParametricPoin
 
 
 def euler_family_points() -> tuple[ParametricPoint, ...]:
-    """The four parametric points on y^2 = x^3 - N(u)x.
+    """The four parametric points on y^2 = x^3 - N*x.
 
     The first two come from quartic-space solutions on the curve itself;
     the last two are the symbolic transfers of Q2 and Q1.
     """
-    f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
-    u = BivarPoly.var(U, "u")
-    one = BivarPoly.const(U, 1)
-    y1fac = univariate("u", [-5, 0, 4, 0, 1, 0, 1])
-    p1 = ParametricPoint(f2 * f4, u**2 * y1fac * f2 * f4, one)
-    b1 = univariate("u", [1, 0, 1, 0, -2, -3, 1])         # B(u,1)
-    p2 = ParametricPoint(-(u**2) * g**2, u * g * b1**2, one)
+    a, b, f1, f2, f3, f4, t10, y1fac = _euler_building_blocks()
+    u = BivarPoly.var(UW, "u")
+    w = BivarPoly.var(UW, "w")
+    p1 = ParametricPoint(f2 * f4, u**2 * y1fac * f2 * f4, w)
+    p2 = ParametricPoint(-(a**2), a * b**2, BivarPoly.const(UW, 1))
     q1, q2 = euler_associated_points()
     n = euler_n_poly()
-    p3 = transfer_parametric(q2, n)
-    p4 = transfer_parametric(q1, n)
-    return p1, p2, p3, p4
+    return p1, p2, transfer_parametric(q2, n), transfer_parametric(q1, n)
 
 
 def printed_transfer_x() -> tuple[tuple[BivarPoly, BivarPoly], ...]:
-    """The closed-form x-coordinates t10^2/(2u)^2 and w14^2/h^2 of the two
-    transferred points, each as a pair (x, z) standing for x/z^2."""
-    f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
-    u = BivarPoly.var(U, "u")
-    return (t10**2, 2 * u), (w14**2, h)
+    """The closed-form x-coordinates t10^2/(2u*w^2)^2 and
+    (A^2 + AB + B^2)^2/(A + B)^2 of the two transferred points, each as a
+    pair (x, z) standing for x/z^2."""
+    a, b, _, _, _, _, t10, _ = _euler_building_blocks()
+    u = BivarPoly.var(UW, "u")
+    w = BivarPoly.var(UW, "w")
+    return (t10**2, 2 * u * w**2), ((a**2 + a * b + b**2) ** 2, a + b)
 
 
 def same_x(pt: ParametricPoint, x: BivarPoly, z: BivarPoly) -> bool:
@@ -187,33 +182,35 @@ def same_x(pt: ParametricPoint, x: BivarPoly, z: BivarPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_parametric_point(pt: ParametricPoint, n_expr: BivarPoly) -> bool:
-    """True iff y^2 = x^3 - N*x*z^4 holds as a polynomial identity."""
-    return pt.y**2 == pt.x**3 - n_expr * pt.x * pt.z**4
+def verify_parametric_point(pt: ParametricPoint, b: BivarPoly) -> bool:
+    """True iff y^2 = x^3 + b*x*z^4 holds as a polynomial identity.
+
+    b = -N for the curve itself and b = 4N for its associated curve.
+    """
+    return pt.y**2 == pt.x**3 + b * pt.x * pt.z**4
 
 
-def verify_on_associated(pt: ParametricPoint, n_expr: BivarPoly) -> bool:
-    """True iff y^2 = x^3 + 4*N*x*z^4 holds as a polynomial identity."""
-    return pt.y**2 == pt.x**3 + 4 * n_expr * pt.x * pt.z**4
-
-
-def _specialize(pt: ParametricPoint, curve: Curve, values, where: str, z_scale=1):
-    """The point (x/z^2, y/z^3) at the given values, with z divided by z_scale."""
-    z = pt.z.evaluate(*values) / z_scale
-    if z == 0:
+def _specialize(
+    pt: ParametricPoint, n_form: BivarPoly, s: int, t: int, where: str
+) -> Point:
+    """The point (X/Z^2, Y/Z^3) on y^2 = x^3 - N*x, all four forms at (s, t)."""
+    Z = pt.z.evaluate(s, t)
+    if Z == 0:
         raise DegenerateSpecializationError(f"denominator vanishes at {where}")
-    return curve.point(pt.x.evaluate(*values) / z**2, pt.y.evaluate(*values) / z**3)
+    X, Y = pt.x.evaluate(s, t), pt.y.evaluate(s, t)
+    return Curve(-n_form.evaluate(s, t)).point(Fraction(X, Z * Z), Fraction(Y, Z**3))
 
 
-def specialize_general(pt: ParametricPoint, m, n) -> Point:
-    """Substitute (m, n); returns an exact point on y^2 = x^3 - (m^4+n^4)x."""
-    m, n = Fraction(m), Fraction(n)
-    if m.denominator != 1 or n.denominator != 1:
-        raise DegenerateSpecializationError("general family expects integers")
-    N = int(m) ** 4 + int(n) ** 4
-    if N <= 0:
-        raise DegenerateSpecializationError("N = m^4 + n^4 must be positive")
-    return _specialize(pt, Curve(-N), (m, n), f"(m, n) = ({m}, {n})")
+def specialize_general(pt: ParametricPoint, m: int, n: int) -> Point:
+    """Substitute integers (m, n); an exact point on y^2 = x^3 - (m^4+n^4)x.
+
+    At m*n = 0 both family points are 2-torsion, so that is degenerate.
+    """
+    if m * n == 0:
+        raise DegenerateSpecializationError(
+            f"(m, n) = ({m}, {n}) is degenerate: m*n = 0"
+        )
+    return _specialize(pt, general_n_poly(), m, n, f"(m, n) = ({m}, {n})")
 
 
 def euler_degenerate(u) -> str | None:
@@ -221,7 +218,7 @@ def euler_degenerate(u) -> str | None:
     u = Fraction(u)
     if u in (0, 1, -1):
         return f"u = {u} is degenerate"
-    a, b, c, d = (p.evaluate(u, 1) for p in euler_quadruple())
+    a, b, c, d = (f.evaluate(u.numerator, u.denominator) for f in euler_quadruple())
     if {abs(a), abs(b)} == {abs(c), abs(d)}:
         return f"the two representations coincide at u = {u}"
     if euler_n(u) <= 0:
@@ -229,30 +226,23 @@ def euler_degenerate(u) -> str | None:
     return None
 
 
-def euler_integral_model(u) -> tuple[Curve, int]:
-    """Integer-coefficient curve for a rational u.
-
-    N(u) has denominator q^28 for u = p/q in lowest terms; scaling
-    (x, y) -> (q^14 x, q^21 y) clears it.  Returns the curve and q.
-    """
-    u = Fraction(u)
+def _euler_pq(u: Fraction) -> tuple[int, int]:
+    """(p, q) for a non-degenerate u = p/q in lowest terms."""
     reason = euler_degenerate(u)
     if reason is not None:
         raise DegenerateSpecializationError(reason)
-    q = u.denominator
-    b = euler_n(u) * q**28
-    assert Fraction(b).denominator == 1
-    return Curve(-int(b)), q
+    return u.numerator, u.denominator
+
+
+def euler_integral_model(u) -> Curve:
+    """The curve y^2 = x^3 - N(p, q)*x for u = p/q in lowest terms."""
+    return Curve(-euler_n_poly().evaluate(*_euler_pq(Fraction(u))))
 
 
 def specialize_euler(pt: ParametricPoint, u) -> Point:
-    """Substitute u; for rational u the point lands on the integral model.
-
-    The model scales (x, y) by (q^14, q^21), that is z by q^-7.
-    """
+    """Substitute u = p/q; the point lands on the integral model at (p, q)."""
     u = Fraction(u)
-    curve, q = euler_integral_model(u)
-    return _specialize(pt, curve, (u,), f"u = {u}", q**7)
+    return _specialize(pt, euler_n_poly(), *_euler_pq(u), f"u = {u}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +253,9 @@ def specialize_euler(pt: ParametricPoint, u) -> Point:
 def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     """Run every symbolic identity; returns (name, passed) pairs.
 
-    With mutate=True one coefficient of A is perturbed, which must break
-    the quadruple balance (negative-control hook for the CLI).
+    With mutate=True one coefficient of the suite's own A is perturbed,
+    which must break the quadruple balance (negative-control hook for the
+    CLI); the points and the quartic spaces keep the true quadruple.
     """
     a, b, c, d = euler_quadruple()
     if mutate:
@@ -277,10 +268,9 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
             all(p.is_homogeneous(7) for p in (a, b, c, d)),
         )
     )
-    a1, b1, c1, d1 = (p.substitute_last(1) for p in (a, b, c, d))
     n = euler_n_poly()
-    results.append(("euler-n-equals-a4-plus-b4", n == a1**4 + b1**4))
-    results.append(("euler-n-equals-c4-plus-d4", n == c1**4 + d1**4))
+    results.append(("euler-n-equals-a4-plus-b4", n == a**4 + b**4))
+    results.append(("euler-n-equals-c4-plus-d4", n == c**4 + d**4))
 
     m = BivarPoly.var(MN, "m")
     nn = BivarPoly.var(MN, "n")
@@ -296,37 +286,41 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
         )
     )
     p1g, p2g = general_family_points()
-    results.append(("general-p1-on-curve", verify_parametric_point(p1g, gn)))
-    results.append(("general-p2-on-curve", verify_parametric_point(p2g, gn)))
+    results.append(("general-p1-on-curve", verify_parametric_point(p1g, -gn)))
+    results.append(("general-p2-on-curve", verify_parametric_point(p2g, -gn)))
 
     p1, p2, p3, p4 = euler_family_points()
-    results.append(("euler-p1-on-curve", verify_parametric_point(p1, n)))
-    results.append(("euler-p2-on-curve", verify_parametric_point(p2, n)))
-    results.append(("euler-p3-on-curve", verify_parametric_point(p3, n)))
-    results.append(("euler-p4-on-curve", verify_parametric_point(p4, n)))
+    results.append(("euler-p1-on-curve", verify_parametric_point(p1, -n)))
+    results.append(("euler-p2-on-curve", verify_parametric_point(p2, -n)))
+    results.append(("euler-p3-on-curve", verify_parametric_point(p3, -n)))
+    results.append(("euler-p4-on-curve", verify_parametric_point(p4, -n)))
     q1, q2 = euler_associated_points()
-    results.append(("euler-q1-on-associated", verify_on_associated(q1, n)))
-    results.append(("euler-q2-on-associated", verify_on_associated(q2, n)))
+    results.append(("euler-q1-on-associated", verify_parametric_point(q1, 4 * n)))
+    results.append(("euler-q2-on-associated", verify_parametric_point(q2, 4 * n)))
     x3, x4 = printed_transfer_x()
     results.append(("transfer-q2-gives-x3", same_x(p3, *x3)))
     results.append(("transfer-q1-gives-x4", same_x(p4, *x4)))
 
     # quartic-space left sides on the Euler curve and its associate are
-    # exact squares of integer polynomials (the H of each solution)
-    f1, f2, f3, f4, g, h, w14, t10 = _euler_building_blocks()
-    u = BivarPoly.var(U, "u")
-    y1fac = univariate("u", [-5, 0, 4, 0, 1, 0, 1])
+    # exact squares of integer forms (the H of each solution); the gaps in
+    # degree are padded with powers of w
+    a, b, f1, f2, f3, f4, t10, y1fac = _euler_building_blocks()
+    u = BivarPoly.var(UW, "u")
+    w = BivarPoly.var(UW, "w")
     results.append(
-        ("euler-space-d-f2f4", f2 * f4 - f1 * f3 == (u**2 * y1fac) ** 2)
+        ("euler-space-d-f2f4", f2 * f4 - w**4 * f1 * f3 == (u**2 * y1fac) ** 2)
     )
-    results.append(("euler-space-d-minus1", n - (u * g) ** 4 == b1**4))
+    results.append(("euler-space-d-minus1", -(a**4) + n == (b**2) ** 2))
     results.append(
-        ("euler-space-d2-associated", 2 * h**4 + 2 * n == (2 * w14) ** 2)
+        (
+            "euler-space-d2-associated",
+            2 * (a + b) ** 4 + 2 * n == (2 * (a**2 + a * b + b**2)) ** 2,
+        )
     )
     results.append(
         (
             "euler-space-d4f2f3-associated",
-            4 * f2 * f3 * u**4 + f1 * f4 == t10**2,
+            4 * u**4 * f2 * f3 + w**8 * f1 * f4 == t10**2,
         )
     )
     return results

@@ -1,15 +1,17 @@
-"""Exact polynomials in at most two variables with integer coefficients.
+"""Exact polynomials in two variables with integer coefficients.
 
-This is deliberately minimal: ring operations, equality, evaluation at
-rationals, substitution and homogeneity checks.  No division, no
+Every polynomial of the paper is a binary form, in (m, n) or (u, w), so
+its value at integers is an integer; at a rational u = p/q a form is
+evaluated at (p, q).  This is deliberately minimal: ring operations,
+equality, exact evaluation and homogeneity checks.  No division, no
 polynomial GCD, no factorization: a rational point of a family is kept as
-three polynomials in weighted coordinates (see ``families``), so every
-identity about it is an equality of polynomials.
+three forms in weighted coordinates (see ``families``), so every identity
+about it is an equality of polynomials.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 
@@ -87,7 +89,7 @@ class BivarPoly:
         d: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 d[e] = d.get(e, 0) + c1 * c2
         return BivarPoly(self.vars, d)
 
@@ -126,27 +128,17 @@ class BivarPoly:
             return len(degs) == 1
         return degs == {d}
 
-    def evaluate(self, *values) -> Fraction:
+    def evaluate(self, *values):
+        """The exact value: an int at ints, a Fraction at Fractions."""
         if len(values) != len(self.vars):
             raise PolyUsageError(f"expected {len(self.vars)} values")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
+        total = 0
         for e, c in self.coeffs.items():
-            term = Fraction(c)
-            for v, k in zip(vals, e):
+            term = c
+            for v, k in zip(values, e):
                 term *= v**k
             total += term
         return total
-
-    def substitute_last(self, value: int) -> "BivarPoly":
-        """Fix the last variable to an integer, dropping it from the context."""
-        if len(self.vars) < 2:
-            raise PolyUsageError("need at least two variables")
-        d: dict = {}
-        for e, c in self.coeffs.items():
-            head, last = e[:-1], e[-1]
-            d[head] = d.get(head, 0) + c * value**last
-        return BivarPoly(self.vars[:-1], d)
 
     def __str__(self):
         if self.is_zero:
@@ -169,6 +161,10 @@ class BivarPoly:
     __repr__ = __str__
 
 
-def univariate(name: str, coeffs: Sequence[int]) -> BivarPoly:
-    """Build a one-variable polynomial from coefficients, low degree first."""
-    return BivarPoly((name,), {(i,): c for i, c in enumerate(coeffs)})
+def binary_form(vars: Sequence[str], coeffs: Sequence[int]) -> BivarPoly:
+    """The form sum c_i * x^i * y^(d-i) in vars = (x, y), with d = len(coeffs) - 1.
+
+    The coefficients are listed by the power of x, low degree first.
+    """
+    d = len(coeffs) - 1
+    return BivarPoly(vars, {(i, d - i): c for i, c in enumerate(coeffs)})

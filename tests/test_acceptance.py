@@ -46,8 +46,8 @@ def test_criterion_1_theorem1_symbolic():
     }
     suite = dict(identity_suite())
     ok = (
-        verify_parametric_point(p1, n)
-        and verify_parametric_point(p2, n)
+        verify_parametric_point(p1, -n)
+        and verify_parametric_point(p2, -n)
         and all(suite[name] for name in wanted)
     )
     _report("criterion-1 theorem-1 symbolic suite", ok, time.monotonic() - t0, 1)
@@ -63,7 +63,7 @@ def test_criterion_2_theorem2_symbolic():
         suite["euler-quadruple-balance"]
         and suite["euler-n-equals-a4-plus-b4"]
         and suite["euler-n-equals-c4-plus-d4"]
-        and all(verify_parametric_point(p, n) for p in points)
+        and all(verify_parametric_point(p, -n) for p in points)
         and same_x(points[2], *x3)
         and same_x(points[3], *x4)
     )

@@ -50,6 +50,16 @@ class TestTheorem1:
         assert doc["status"] == "degenerate"
         assert "error" in doc
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (3, 0), (0, 0)])
+    def test_degenerate_m_times_n_zero(self, capsys, m, n):
+        # both points are 2-torsion there, whatever N is
+        code, doc = run_cli(capsys, "theorem1", "--m", str(m), "--n", str(n))
+        assert code == 1
+        assert doc == {
+            "status": "degenerate",
+            "error": f"(m, n) = ({m}, {n}) is degenerate: m*n = 0",
+        }
+
     def test_random_specializations_on_curve(self, capsys, rng):
         done = 0
         while done < 25:
@@ -244,6 +254,7 @@ class TestHeight:
         ("theorem1", "--m", "2", "--n", "1", "--bound", "-1"),
         ("theorem2", "--u", "2", "--bound", "-1"),
         ("descent", "--N", "17", "--bound", "-1"),
+        ("descent", "--N", "0"),
     ],
 )
 def test_domain_error(capsys, argv):
@@ -251,6 +262,13 @@ def test_domain_error(capsys, argv):
     assert code == 1
     assert doc["status"] == "domain_error"
     assert doc["error"]
+
+
+@pytest.mark.parametrize("N", ["0", "1", "-5"])
+def test_descent_n_below_2_message(capsys, N):
+    code, doc = run_cli(capsys, "descent", "--N", N)
+    assert code == 1
+    assert doc == {"status": "domain_error", "error": "N must be at least 2"}
 
 
 # full stdout of fixed commands; a refactor must reproduce it byte for byte

@@ -21,10 +21,11 @@ from biquad.families import (
     same_x,
     specialize_euler,
     specialize_general,
-    verify_on_associated,
     verify_parametric_point,
 )
 from biquad.poly import BivarPoly, PolyUsageError
+
+UW = ("u", "w")
 
 
 class TestEulerQuadruple:
@@ -54,7 +55,7 @@ class TestEulerN:
         assert euler_n(2) == 635318657
 
     def test_symbolic_equals_sums(self):
-        a, b, c, d = (p.substitute_last(1) for p in euler_quadruple())
+        a, b, c, d = euler_quadruple()
         n = euler_n_poly()
         assert (n - (a**4 + b**4)).is_zero
         assert (n - (c**4 + d**4)).is_zero
@@ -71,13 +72,22 @@ class TestEulerN:
         for f in euler_n_factors():
             assert all(e[0] % 2 == 0 for e in f.coeffs)
 
+    def test_factors_are_forms_of_degree_28(self):
+        degrees = (4, 8, 8, 8)
+        assert all(f.is_homogeneous(d) for f, d in zip(euler_n_factors(), degrees))
+        assert euler_n_poly().is_homogeneous(28)
+
+    def test_value_is_exact_fraction(self):
+        assert euler_n(Fraction(1, 2)) == Fraction(635318657, 2**28)
+        assert isinstance(euler_n(2), Fraction)
+
 
 class TestGeneralFamily:
     def test_points_on_curve_symbolically(self):
         p1, p2 = general_family_points()
         n = general_n_poly()
-        assert verify_parametric_point(p1, n)
-        assert verify_parametric_point(p2, n)
+        assert verify_parametric_point(p1, -n)
+        assert verify_parametric_point(p2, -n)
 
     def test_specialize_2_1(self):
         p1, p2 = general_family_points()
@@ -101,7 +111,7 @@ class TestGeneralFamily:
     def test_p2_x_is_a_square(self):
         _, p2 = general_family_points()
         for m, n in [(2, 1), (3, 2), (5, 1)]:
-            x = p2.x.evaluate(m, n) / p2.z.evaluate(m, n) ** 2
+            x = Fraction(p2.x.evaluate(m, n), p2.z.evaluate(m, n) ** 2)
             r = Fraction(m * m + m * n + n * n, m + n)
             assert x == r * r
 
@@ -110,13 +120,14 @@ class TestEulerFamilyPoints:
     def test_symbolic_on_curve(self):
         n = euler_n_poly()
         for p in euler_family_points():
-            assert verify_parametric_point(p, n)
+            assert verify_parametric_point(p, -n)
 
     def test_associated_points_symbolic(self):
         n = euler_n_poly()
         q1, q2 = euler_associated_points()
-        assert verify_on_associated(q1, n)
-        assert verify_on_associated(q2, n)
+        assert verify_parametric_point(q1, 4 * n)
+        assert verify_parametric_point(q2, 4 * n)
+        assert not verify_parametric_point(q1, -n)
 
     def test_transferred_x_match_printed(self):
         p1, p2, p3, p4 = euler_family_points()
@@ -140,13 +151,13 @@ class TestEulerFamilyPoints:
 
     def test_x1_at_2_factors(self):
         p1 = euler_family_points()[0]
-        assert p1.z == 1
-        assert p1.x.evaluate(2) == 241 * 569 == 137129
+        assert p1.z == BivarPoly.var(UW, "w")
+        assert p1.x.evaluate(2, 1) == 241 * 569 == 137129
 
     def test_denominators_at_2(self):
         _, _, p3, p4 = euler_family_points()
-        x3 = p3.x.evaluate(2) / p3.z.evaluate(2) ** 2
-        x4 = p4.x.evaluate(2) / p4.z.evaluate(2) ** 2
+        x3 = Fraction(p3.x.evaluate(2, 1), p3.z.evaluate(2, 1) ** 2)
+        x4 = Fraction(p4.x.evaluate(2, 1), p4.z.evaluate(2, 1) ** 2)
         assert x3.denominator == 16
         assert x4.denominator == 9801 == 99**2
 
@@ -158,7 +169,7 @@ class TestEulerFamilyPoints:
             u = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             if euler_degenerate(u) is not None:
                 continue
-            curve, _ = euler_integral_model(u)
+            curve = euler_integral_model(u)
             for p in pts:
                 q = specialize_euler(p, u)
                 assert on_curve(curve, q)
@@ -170,27 +181,66 @@ class TestEulerFamilyPoints:
                 euler_integral_model(u)
 
 
+def _reference_specialize(pt: ParametricPoint, u: Fraction):
+    """Oracle for ``specialize_euler``: (b, x, y) from the forms at (u, 1)
+    over Fraction, moved to the integral model by b -> q^28 b and
+    (x, y) -> (q^14 x, q^21 y)."""
+    one = Fraction(1)
+    x, y, z = (f.evaluate(u, one) for f in (pt.x, pt.y, pt.z))
+    q = u.denominator
+    return -euler_n_poly().evaluate(u, one) * q**28, q**14 * x / z**2, q**21 * y / z**3
+
+
+def _non_degenerate_u(rng, count):
+    us = []
+    while len(us) < count:
+        u = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+        if euler_degenerate(u) is None and u not in us:
+            us.append(u)
+    return us
+
+
+class TestEulerIntegralModel:
+    def test_matches_rescaled_rational_evaluation(self, rng):
+        pts = euler_family_points()
+        for u in _non_degenerate_u(rng, 200):
+            curve = euler_integral_model(u)
+            for p in pts:
+                q = specialize_euler(p, u)
+                assert q.curve == curve
+                assert (q.curve.b, q.x, q.y) == _reference_specialize(p, u)
+
+    def test_p2_p4_are_the_general_points_at_b_a(self, rng):
+        _, p2, _, p4 = euler_family_points()
+        g1, g2 = general_family_points()
+        for u in _non_degenerate_u(rng, 40):
+            a, b, _, _ = (f.evaluate(u.numerator, u.denominator) for f in euler_quadruple())
+            assert specialize_euler(p2, u) == specialize_general(g1, b, a)
+            assert specialize_euler(p4, u) == specialize_general(g2, b, a)
+
+
 class TestVerifyParametricPoint:
     def test_negative(self):
         n = euler_n_poly()
-        one = BivarPoly.const(("u",), 1)
-        bad = ParametricPoint(BivarPoly.const(("u",), 0), one, one)
-        assert not verify_parametric_point(bad, n)
-        # P1 has z = 1; the same x and y with z = 2 is another point, off the curve
+        one = BivarPoly.const(UW, 1)
+        bad = ParametricPoint(BivarPoly.const(UW, 0), one, one)
+        assert not verify_parametric_point(bad, -n)
+        # P1 has z = w; the same x and y with z = 2w is another point, off the curve
         p1 = euler_family_points()[0]
-        moved = ParametricPoint(p1.x, p1.y, BivarPoly.const(("u",), 2))
-        assert not verify_parametric_point(moved, n)
+        moved = ParametricPoint(p1.x, p1.y, 2 * p1.z)
+        assert not verify_parametric_point(moved, -n)
 
 
 class TestParametricPoint:
     def test_zero_z_rejected(self):
-        one = BivarPoly.const(("u",), 1)
+        one = BivarPoly.const(UW, 1)
         with pytest.raises(PolyUsageError):
-            ParametricPoint(one, one, BivarPoly.const(("u",), 0))
+            ParametricPoint(one, one, BivarPoly.const(UW, 0))
 
     def test_vanishing_z_is_degenerate(self):
-        u = BivarPoly.var(("u",), "u")
-        pt = ParametricPoint(u, u, u - 2)
+        u = BivarPoly.var(UW, "u")
+        w = BivarPoly.var(UW, "w")
+        pt = ParametricPoint(u, u, u - 2 * w)
         with pytest.raises(DegenerateSpecializationError, match="vanishes at u = 2"):
             specialize_euler(pt, 2)
 
@@ -204,4 +254,4 @@ class TestIdentitySuite:
 
     def test_mutation_negative_control(self):
         failing = [name for name, ok in identity_suite(mutate=True) if not ok]
-        assert "euler-quadruple-balance" in failing
+        assert failing == ["euler-quadruple-balance", "euler-n-equals-a4-plus-b4"]
