@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .arith import ArithDomainError
 from .curves import Curve, Point, on_curve
-from .descent import rank_lower_bound
+from .descent import check_n, rank_lower_bound
 from .families import (
     DegenerateSpecializationError,
     euler_family_points,
@@ -166,6 +166,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_descent(args) -> int:
+    check_n(args.N)  # before the points file, which is read on Curve(-N)
     extra = _load_points_file(args.points_file, Curve(-args.N)) if args.points_file else []
     report = rank_lower_bound(args.N, args.bound, extra_points=extra)
     return _emit({"descent": report.to_json()}, "ok", args.pretty)

@@ -270,6 +270,12 @@ def _point_classes(points, expect_b: int, primes) -> set[int]:
     return classes
 
 
+def check_n(N: int) -> None:
+    """Raise ArithDomainError unless N >= 2, the descent's domain."""
+    if N < 2:
+        raise ArithDomainError("N must be at least 2")
+
+
 def rank_lower_bound(
     N: int, height_bound: int, extra_points=()
 ) -> DescentReport:
@@ -280,8 +286,7 @@ def rank_lower_bound(
     2-torsion class of B on each, plus any supplied points (which must lie
     on B = -N).  Bound: log2(s * s') - 2.
     """
-    if N < 2:
-        raise ArithDomainError("N must be at least 2")
+    check_n(N)
     if height_bound < 0:
         raise ArithDomainError("height bound must be non-negative")
     b_e, b_e4 = -N, 4 * N

@@ -271,6 +271,15 @@ def test_descent_n_below_2_message(capsys, N):
     assert doc == {"status": "domain_error", "error": "N must be at least 2"}
 
 
+@pytest.mark.parametrize("N", ["0", "1", "-5"])
+def test_descent_n_below_2_checked_before_points_file(capsys, tmp_path, N):
+    path = tmp_path / "pts.jsonl"
+    path.write_text('{"x": 0, "y": 0}\n')
+    code, doc = run_cli(capsys, "descent", "--N", N, "--points-file", str(path))
+    assert code == 1
+    assert doc == {"status": "domain_error", "error": "N must be at least 2"}
+
+
 # full stdout of fixed commands; a refactor must reproduce it byte for byte
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
 

@@ -2,13 +2,19 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
+import biquad.heights
 from biquad.curves import Curve, add, scalar_mul
 from biquad.heights import (
+    _DPS,
+    _TARGET,
     GramMatrix,
     HeightUsageError,
+    HeightValue,
     _curve_constants,
     _is_torsion,
     canonical_height,
@@ -105,6 +111,135 @@ class TestCanonicalHeight:
             m, n = rng.randint(1, 20), rng.randint(1, 20)
             c = Curve(-(m**4 + n**4))
             assert canonical_height(c.point(0, 0)).value <= 1e-3
+
+
+def full_modulus_oracle(p):
+    """canonical_height with the gcd residues carried modulo D^(n_iter + 1),
+    the modulus that needs no check; returns (HeightValue, [g_1, ..., g_n])."""
+    if p.is_identity or _is_torsion(p):
+        return HeightValue(0.0, 0.0), []
+    b = p.curve.b
+    d_const, log_d, log_bound = _curve_constants(b)
+    worst = max(log_d, log_bound)
+    n_iter = max(8, math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4)))
+    n_iter = min(n_iter, 60)
+    u0, v0 = p.x.numerator, p.x.denominator
+
+    mod = d_const ** (n_iter + 1)
+    a_res, b_res = u0 % mod, v0 % mod
+    gcd_sum, gs = 0.0, []
+    for j in range(1, n_iter + 1):
+        fv = (a_res * a_res - b * b_res * b_res) ** 2 % mod
+        gv = 4 * a_res * b_res * (a_res * a_res + b * b_res * b_res) % mod
+        g = math.gcd(math.gcd(fv % d_const, gv % d_const), d_const)
+        gs.append(g)
+        if g > 1:
+            gcd_sum += log_big(g) / 4**j
+        mod //= g
+        a_res, b_res = (fv // g) % mod, (gv // g) % mod
+    gcd_tail = log_d * 4.0**-n_iter / 3.0
+
+    with mpmath.workdps(_DPS):
+        au = mpmath.mpf(u0)
+        av = mpmath.mpf(v0)
+        s = max(abs(au), av)
+        green = mpmath.log(s)
+        au, av = au / s, av / s
+        bb = mpmath.mpf(b)
+        for n in range(1, n_iter + 1):
+            fu = (au * au - bb * av * av) ** 2
+            gv2 = 4 * au * av * (au * au + bb * av * av)
+            s = max(abs(fu), abs(gv2))
+            green += mpmath.log(s) / mpmath.mpf(4) ** n
+            au, av = fu / s, gv2 / s
+        green_f = float(green)
+    green_tail = log_bound * 4.0**-n_iter / 3.0
+
+    value = green_f - gcd_sum
+    err = gcd_tail + green_tail + 1e-20 * max(1.0, abs(value))
+    return HeightValue(value, err), gs
+
+
+def passes(gs, d_const):
+    """Steps done by each pass of the loop in canonical_height: from D^2, the
+    exponent doubled after each pass that loses D from its modulus."""
+    k, done = 2, []
+    while True:
+        mod, j = d_const**k, 0
+        while j < len(gs) and mod % d_const == 0:
+            mod //= gs[j]
+            j += 1
+        done.append(j)
+        if j == len(gs):
+            return done
+        k = min(2 * k, len(gs) + 1)
+
+
+@st.composite
+def points_on_lines(draw):
+    """P = (x, k*x) on y^2 = x^3 + b*x with b = k^2*x - x^2, x = +-2^a 3^c m:
+    small powers of 2 and 3 make gcds that repeat from step to step."""
+    x = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(0, 12))
+    x *= 3 ** draw(st.integers(0, 8)) * draw(st.integers(1, 60))
+    k = draw(st.integers(1, 80))
+    b = k * k * x - x * x
+    assume(b != 0)
+    return Curve(b).point(x, k * x)
+
+
+class TestGcdPrecision:
+    """canonical_height equals the full-modulus loop bit for bit."""
+
+    @staticmethod
+    def check(p):
+        h, gs = full_modulus_oracle(p)
+        got = canonical_height(p)
+        assert (got.value, got.abs_error) == (h.value, h.abs_error), p
+        return gs
+
+    @settings(max_examples=150, deadline=None)
+    @given(points_on_lines())
+    def test_points_on_lines_and_doubles(self, p):
+        self.check(p)
+        self.check(add(p, p))
+
+    @pytest.mark.parametrize("b, x, y, restarts", [(-192, -8, 32, 1), (243, 9, 54, 3)])
+    def test_restart_cases(self, monkeypatch, b, x, y, restarts):
+        p = Curve(b).point(x, y)
+        gs = self.check(p)
+        done = passes(gs, _curve_constants(b)[0])
+        assert len(done) == restarts + 1
+        # the loop logs each g > 1 of every pass, restarted ones included
+        logged = []
+        monkeypatch.setattr(
+            biquad.heights, "log_big", lambda n: logged.append(n) or log_big(n)
+        )
+        canonical_height(p)
+        assert logged == [g for j in done for g in gs[:j] if g > 1]
+
+    def test_euler_points(self):
+        from biquad.families import euler_family_points, specialize_euler
+
+        for pt in euler_family_points():
+            self.check(specialize_euler(pt, Fraction(5, 3)))
+
+    def test_169_digit_regulator_pinned(self):
+        """u = 1000003/7: four heights on a 13,000-digit full modulus; the
+        strings were recorded with the full-modulus loop."""
+        from biquad.families import euler_family_points, specialize_euler
+
+        u = Fraction(1000003, 7)
+        pts = [specialize_euler(pt, u) for pt in euler_family_points()]
+        assert len(str(-pts[0].curve.b)) == 169
+        rep = regulator_report(pts)
+        assert rep["gram"] == [
+            ["110.524108463750", "82.893088347787", "-0.000013999958", "-110.524115463729"],
+            ["82.893088347787", "192.377469040695", "-137.461988398940", "-192.377476040527"],
+            ["-0.000013999958", "-137.461988398940", "274.577403207600", "218.622215795159"],
+            ["-110.524115463729", "-192.377476040527", "218.622215795159", "384.061804900516"],
+        ]
+        assert rep["determinant"] == "185310944.589705139399"
+        assert rep["error_bound"] == "4.678e-03"
 
 
 class TestIsTorsion:
