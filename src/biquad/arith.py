@@ -3,6 +3,10 @@
 Everything here works on plain Python ints (arbitrary precision) and
 ``fractions.Fraction``.  All values are immutable and all functions pure.
 A square class, an element of Q*/(Q*)^2, is its squarefree integer.
+Factorization is Pollard rho with Brent's cycle detection (Brent, "An
+improved Monte Carlo factorization algorithm", BIT 20, 1980) and a
+Miller-Rabin test.  Rho finds a prime factor p in about sqrt(p) steps,
+so small primes need no trial division of their own.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ class ArithDomainError(ValueError):
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair's bases).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_TRIAL_LIMIT = 10**6
 
 _rng = random.Random(0x5EED)
 
@@ -58,9 +60,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite n."""
-    if n % 2 == 0:
-        return 2
+    """Brent-cycle Pollard rho; returns a nontrivial factor of odd composite n."""
     while True:
         y = _rng.randrange(1, n)
         c = _rng.randrange(1, n)
@@ -92,8 +92,8 @@ def _pollard_brent(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division up to 10^6, then Pollard rho with Brent cycle detection
-    on whatever remains.
+    Divides out 2, 3 and 5, then splits each composite cofactor with
+    Pollard rho (Brent cycle detection) until every part is prime.
     """
     if n < 1:
         raise ArithDomainError(f"factorize requires n >= 1, got {n}")
@@ -102,15 +102,6 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # wheel over 6k+-1
-    p = 7
-    step = 4
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += step
-        step = 6 - step
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

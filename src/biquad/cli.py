@@ -34,6 +34,7 @@ from .families import (
     euler_family_points,
     euler_integral_model,
     euler_n,
+    euler_n_parts,
     general_family_points,
     identity_suite,
     specialize_euler,
@@ -114,10 +115,12 @@ def cmd_verify_identities(args) -> int:
 def _witness(args, curve: Curve, points: list[Point], rank: int, u=None) -> int:
     """Emit the rank witness of specialized family points on one curve.
 
-    theorem2 passes its parameter u, which adds "u" and "N_of_u".
+    theorem2 passes its parameter u, which adds "u" and "N_of_u" and
+    gives the descent N as its four family factors.
     """
     N = -curve.b
-    descent = rank_lower_bound(N, args.bound, extra_points=points)
+    parts = None if u is None else euler_n_parts(u)
+    descent = rank_lower_bound(N, args.bound, extra_points=points, parts=parts)
     reg = regulator_report(points)
     payload = {} if u is None else {"u": str(u)}
     payload["curve"] = curve.to_json()

@@ -277,7 +277,7 @@ def check_n(N: int) -> None:
 
 
 def rank_lower_bound(
-    N: int, height_bound: int, extra_points=()
+    N: int, height_bound: int, extra_points=(), parts=None
 ) -> DescentReport:
     """Certified lower bound for the rank of y^2 = x^3 - N*x.
 
@@ -285,12 +285,19 @@ def rank_lower_bound(
     on the curve (B = -N) and its associated curve (B = 4N), plus the
     2-torsion class of B on each, plus any supplied points (which must lie
     on B = -N).  Bound: log2(s * s') - 2.
+
+    parts, integers whose product is N (default [N]), are factored one by
+    one; the primes of N are the union of theirs, each counted once.
     """
     check_n(N)
     if height_bound < 0:
         raise ArithDomainError("height bound must be non-negative")
+    parts = [N] if parts is None else list(parts)
+    if math.prod(parts) != N:
+        raise ArithDomainError(f"parts {parts} do not multiply to N = {N}")
     b_e, b_e4 = -N, 4 * N
-    primes_e = list(arith.factorize(N))  # via the module, so wrappers see it
+    # via the module, so wrappers see it
+    primes_e = sorted({p for part in parts for p in arith.factorize(part)})
     primes_e4 = sorted({2, *primes_e})
 
     sols_e = search_solutions(b_e, height_bound, primes_e)

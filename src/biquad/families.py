@@ -39,7 +39,7 @@ MN = ("m", "n")
 
 class DegenerateSpecializationError(ArithDomainError):
     """Parameter values where a denominator vanishes, a point is 2-torsion,
-    N <= 0, or the two fourth-power representations collapse into one."""
+    or the two fourth-power representations collapse into one."""
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,23 @@ def specialize_general(pt: ParametricPoint, m: int, n: int) -> Point:
 
 
 def euler_degenerate(u) -> str | None:
-    """Reason the value u is a degenerate Euler parameter, or None."""
+    """Reason the value u is a degenerate Euler parameter, or None.
+
+    N(p, q) > 0 needs no check: each factor is positive at every real
+    (u, w) != (0, 0), and q >= 1.  f1 and f4 are sums of positive
+    multiples of u^(2i)*w^(2j), u^deg and w^deg among them.
+    f2 = (u^4 - w^4)^2 + u^4*w^4 vanishes only where u*w = 0 and
+    u^4 = w^4, that is at (0, 0).
+    f3 = (u^4 - 2u^2w^2)^2 + (2u^2w^2 - w^4)^2: the first square vanishes
+    only at u = 0 or u^2 = 2w^2, the second only at w = 0 or w^2 = 2u^2,
+    and one condition from each forces (u, w) = (0, 0).
+    """
     u = Fraction(u)
     if u in (0, 1, -1):
         return f"u = {u} is degenerate"
     a, b, c, d = (f.evaluate(u.numerator, u.denominator) for f in euler_quadruple())
     if {abs(a), abs(b)} == {abs(c), abs(d)}:
         return f"the two representations coincide at u = {u}"
-    if euler_n(u) <= 0:
-        return f"N(u) <= 0 at u = {u}"
     return None
 
 
@@ -232,6 +240,12 @@ def _euler_pq(u: Fraction) -> tuple[int, int]:
     if reason is not None:
         raise DegenerateSpecializationError(reason)
     return u.numerator, u.denominator
+
+
+def euler_n_parts(u) -> list[int]:
+    """f1..f4 at (p, q) for u = p/q: positive integers with product N(p, q)."""
+    pq = _euler_pq(Fraction(u))
+    return [f.evaluate(*pq) for f in euler_n_factors()]
 
 
 def euler_integral_model(u) -> Curve:

@@ -18,6 +18,16 @@ def squarefree_part(q):
     return (-1 if n < 0 else 1) * math.prod(odd)
 
 
+def euler_parts_oracle(p, q):
+    """f1..f4 of Euler's N at (p, q), written out; their product is N(p, q)."""
+    return [
+        p**4 + 6 * p**2 * q**2 + q**4,
+        p**8 - p**4 * q**4 + q**8,
+        p**8 - 4 * p**6 * q**2 + 8 * p**4 * q**4 - 4 * p**2 * q**6 + q**8,
+        p**8 + 2 * p**6 * q**2 + 11 * p**4 * q**4 + 2 * p**2 * q**6 + q**8,
+    ]
+
+
 def family_curve_points(m, n):
     """The two specialized generators on y^2 = x^3 - (m^4+n^4)x."""
     p1_sym, p2_sym = general_family_points()

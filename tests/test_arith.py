@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from biquad.arith import (
@@ -12,6 +13,7 @@ from biquad.arith import (
     is_probable_prime,
     kernel_over,
 )
+from biquad.families import euler_degenerate, euler_integral_model, euler_n_parts
 from conftest import squarefree_part
 
 
@@ -66,6 +68,52 @@ class TestFactorize:
                 assert is_probable_prime(p)
                 prod *= p**e
             assert prod == n
+
+
+class TestFactorizeByRho:
+    """Pollard rho alone finds the primes 7..10^6, repeated or not, next to
+    a prime above 2^64; the factorization the test builds is the oracle."""
+
+    small_primes = st.integers(min_value=7, max_value=10**6).map(
+        lambda k: sympy.prevprime(k + 1)
+    )
+
+    @given(
+        st.dictionaries(
+            small_primes, st.integers(min_value=1, max_value=3), min_size=1, max_size=4
+        ),
+        st.sampled_from([None, 2**89 - 1, 2**107 - 1]),
+    )
+    @settings(deadline=None)
+    def test_products_of_primes(self, built, big):
+        if big is not None:
+            built = {**built, big: 1}
+        n = math.prod(p**e for p, e in built.items())
+        got = factorize(n)
+        assert got == dict(sorted(built.items()))
+        assert list(got) == sorted(built)
+
+    def test_squared_prime_below_10_6(self):
+        # 28081^2 * 437681, the N of `descent --N 345130096641041`
+        assert factorize(345130096641041) == {28081: 2, 437681: 1}
+
+
+class TestEulerSplit:
+    """The primes of N(p, q) are the union of those of f1..f4 at (p, q)."""
+
+    @given(
+        st.integers(min_value=-16, max_value=16),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_union_of_part_primes(self, p, q):
+        assume(math.gcd(p, q) == 1)
+        u = Fraction(p, q)
+        assume(euler_degenerate(u) is None)
+        parts = euler_n_parts(u)
+        n = -euler_integral_model(u).b
+        assert math.prod(parts) == n
+        assert {r for part in parts for r in factorize(part)} == set(sympy.factorint(n))
 
 
 class TestSquarefreeKernel:

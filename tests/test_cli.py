@@ -1,4 +1,7 @@
 import json
+import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import biquad.arith
 import biquad.heights
 from biquad.cli import main
 from biquad.curves import Curve, on_curve
+from conftest import euler_parts_oracle
 
 
 def run_cli(capsys, *argv):
@@ -312,7 +316,33 @@ def test_factorizes_n_once(capsys, monkeypatch, argv):
     monkeypatch.setattr(biquad.arith, "factorize", counting)
     code, doc = run_cli(capsys, *argv)
     assert code == 0
-    assert calls == [int(doc["N"])]
+    if argv[0] == "theorem1":
+        assert calls == [int(doc["N"])]
+    else:
+        # theorem2 factors the four family factors of N, each once
+        u = Fraction(argv[2])
+        parts = euler_parts_oracle(u.numerator, u.denominator)
+        assert sorted(calls) == sorted(parts)
+        assert math.prod(parts) == int(doc["N"])
+
+
+@pytest.mark.parametrize("u", ["1000", "1000003/7"])
+def test_theorem2_large_u_finishes(u):
+    # whole-N factoring did not finish here in minutes (a 22-digit prime
+    # inside a 160-digit N at 1000003/7); the four factors take a second
+    r = subprocess.run(
+        [sys.executable, "-m", "biquad.cli", "theorem2", f"--u={u}"],
+        cwd=Path(__file__).resolve().parent.parent / "src",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    doc = json.loads(r.stdout)
+    q = Fraction(u)
+    assert doc["verdict"] == "rank >= 4"
+    assert doc["descent"]["N"] == doc["N"]
+    assert int(doc["N"]) == math.prod(euler_parts_oracle(q.numerator, q.denominator))
 
 
 @pytest.mark.parametrize(

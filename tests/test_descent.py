@@ -217,6 +217,23 @@ class TestRankLowerBound:
         with pytest.raises(ArithDomainError):
             rank_lower_bound(1, 3)
 
+    @pytest.mark.parametrize(
+        "n, parts",
+        [
+            (272, [8, 34]),  # 2 divides both parts
+            (635318657, [41 * 113, 241 * 569]),
+            (345130096641041, [28081, 28081 * 437681]),  # 28081^2 * 437681
+            (20857012713217, [1697, 1, 28081 * 437681]),
+        ],
+    )
+    def test_parts_give_the_same_report(self, n, parts):
+        assert rank_lower_bound(n, 10, parts=parts) == rank_lower_bound(n, 10)
+
+    @pytest.mark.parametrize("parts", [[16], [16, 17, 1, 2], [-16, -17], []])
+    def test_parts_must_multiply_to_n(self, parts):
+        with pytest.raises(ArithDomainError):
+            rank_lower_bound(272, 3, parts=parts)
+
 
 # squarefree nonzero integers: a set of distinct primes, optionally with -1
 squarefree = st.sets(st.sampled_from([-1, 2, 3, 5, 7, 11, 13])).map(math.prod)

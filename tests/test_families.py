@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from biquad.curves import Curve, on_curve
 from biquad.families import (
@@ -12,6 +13,7 @@ from biquad.families import (
     euler_integral_model,
     euler_n,
     euler_n_factors,
+    euler_n_parts,
     euler_n_poly,
     euler_quadruple,
     general_family_points,
@@ -80,6 +82,23 @@ class TestEulerN:
     def test_value_is_exact_fraction(self):
         assert euler_n(Fraction(1, 2)) == Fraction(635318657, 2**28)
         assert isinstance(euler_n(2), Fraction)
+
+    def test_sums_of_squares(self):
+        # the identities behind N(p, q) > 0 in euler_degenerate
+        u = BivarPoly.var(UW, "u")
+        w = BivarPoly.var(UW, "w")
+        _, f2, f3, _ = euler_n_factors()
+        assert f2 == (u**4 - w**4) ** 2 + u**4 * w**4
+        assert f3 == (u**4 - 2 * u**2 * w**2) ** 2 + (2 * u**2 * w**2 - w**4) ** 2
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_factors_positive(self, p, q):
+        assume((p, q) != (0, 0))
+        assert all(f.evaluate(p, q) > 0 for f in euler_n_factors())
+
+    def test_parts_degenerate_rejected(self):
+        with pytest.raises(DegenerateSpecializationError):
+            euler_n_parts(1)
 
 
 class TestGeneralFamily:
