@@ -38,7 +38,7 @@ from .heights import (
     naive_height,
     regulator_report,
 )
-from .poly import BivarPoly
+from .poly import BinaryForm
 from .search import (
     Representation,
     TwinRecord,

@@ -4,13 +4,13 @@ For y^2 = x^3 + B*x, each squarefree divisor d of B (either sign) gives
 the space d*U^4 + (B/d)*V^4 = H^2; a solution with H != 0 lifts to the
 rational point (d*U^2/V^2, d*U*H/V^3), and every rational point with
 x != 0 has x = d * (square) with such a d (Silverman-Tate, III.5-6).  So
-every square class comes from the primes of B = -N or 4N: N is the only
-integer the descent factors.  A class is its squarefree integer d, and
-the product of classes d and e is d*e / gcd(d, e)^2.  The images of the
-descent maps on the curve and its associated curve are subgroups of
-Q*/(Q*)^2; if their found sizes are s and s', then
-rank >= log2(s*s') - 2.  Found classes can only undercount the true
-images, so the bound is always valid.
+every square class comes from the primes of B = -N or 4N: the descent
+factors N, or the given parts whose product is N.  A class is its
+squarefree integer d, and the product of classes d and e is
+d*e / gcd(d, e)^2.  The images of the descent maps on the curve and its
+associated curve are subgroups of Q*/(Q*)^2; if their found sizes are s
+and s', then rank >= log2(s*s') - 2.  Found classes can only undercount
+the true images, so the bound is always valid.
 
 The search skips work only where exact arithmetic shows there is no
 solution (Silverman, AEC X.4; Cremona, Algorithms 3.5-3.6).

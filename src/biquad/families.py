@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .arith import ArithDomainError
 from .curves import Curve, Point
-from .poly import BivarPoly, PolyUsageError, binary_form
+from .poly import BinaryForm, PolyUsageError
 
 UW = ("u", "w")
 MN = ("m", "n")
@@ -46,9 +46,9 @@ class DegenerateSpecializationError(ArithDomainError):
 class ParametricPoint:
     """The point (x/z^2, y/z^3); z is a nonzero polynomial."""
 
-    x: BivarPoly
-    y: BivarPoly
-    z: BivarPoly
+    x: BinaryForm
+    y: BinaryForm
+    z: BinaryForm
 
     def __post_init__(self):
         if self.z.is_zero:
@@ -60,25 +60,25 @@ class ParametricPoint:
 # ---------------------------------------------------------------------------
 
 
-def euler_quadruple() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:
+def euler_quadruple() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
     """The four forms of degree 7 with A^4 + B^4 = C^4 + D^4."""
-    a = binary_form(UW, [0, 1, 3, -2, 0, 1, 0, 1])
-    b = binary_form(UW, [1, 0, 1, 0, -2, -3, 1, 0])
-    c = binary_form(UW, [0, 1, -3, -2, 0, 1, 0, 1])
-    d = binary_form(UW, [1, 0, 1, 0, -2, 3, 1, 0])
+    a = BinaryForm(UW, [0, 1, 3, -2, 0, 1, 0, 1])
+    b = BinaryForm(UW, [1, 0, 1, 0, -2, -3, 1, 0])
+    c = BinaryForm(UW, [0, 1, -3, -2, 0, 1, 0, 1])
+    d = BinaryForm(UW, [1, 0, 1, 0, -2, 3, 1, 0])
     return a, b, c, d
 
 
-def euler_n_factors() -> tuple[BivarPoly, BivarPoly, BivarPoly, BivarPoly]:
+def euler_n_factors() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
     """The four even factors f1..f4 of N = A^4 + B^4."""
-    f1 = binary_form(UW, [1, 0, 6, 0, 1])
-    f2 = binary_form(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
-    f3 = binary_form(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
-    f4 = binary_form(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
+    f1 = BinaryForm(UW, [1, 0, 6, 0, 1])
+    f2 = BinaryForm(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
+    f3 = BinaryForm(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
+    f4 = BinaryForm(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
     return f1, f2, f3, f4
 
 
-def euler_n_poly() -> BivarPoly:
+def euler_n_poly() -> BinaryForm:
     f1, f2, f3, f4 = euler_n_factors()
     return f1 * f2 * f3 * f4
 
@@ -95,15 +95,15 @@ def euler_n(u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def general_n_poly() -> BivarPoly:
-    return binary_form(MN, [1, 0, 0, 0, 1])
+def general_n_poly() -> BinaryForm:
+    return BinaryForm(MN, [1, 0, 0, 0, 1])
 
 
 def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
     """P1 = (-n^2, m^2 n) and the transferred point P2 on y^2 = x^3 - (m^4+n^4)x."""
-    m = BivarPoly.var(MN, "m")
-    n = BivarPoly.var(MN, "n")
-    p1 = ParametricPoint(-(n**2), m**2 * n, BivarPoly.const(MN, 1))
+    m = BinaryForm.var(MN, "m")
+    n = BinaryForm.var(MN, "n")
+    p1 = ParametricPoint(-(n**2), m**2 * n, BinaryForm.const(MN, 1))
     s = m**2 + m * n + n**2
     p2y = m * n * s * (2 * m**2 + 3 * m * n + 2 * n**2)
     p2 = ParametricPoint(s**2, p2y, m + n)
@@ -118,24 +118,24 @@ def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
 def _euler_building_blocks():
     """A, B, f1..f4, and the forms t10 and y1fac of degrees 10 and 6."""
     a, b, _, _ = euler_quadruple()
-    t10 = binary_form(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
-    y1fac = binary_form(UW, [-5, 0, 4, 0, 1, 0, 1])
+    t10 = BinaryForm(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
+    y1fac = BinaryForm(UW, [-5, 0, 4, 0, 1, 0, 1])
     return a, b, *euler_n_factors(), t10, y1fac
 
 
 def euler_associated_points() -> tuple[ParametricPoint, ParametricPoint]:
     """Q1, Q2 on the associated curve y^2 = x^3 + 4*N*x."""
     a, b, f1, f2, f3, f4, t10, _ = _euler_building_blocks()
-    u = BivarPoly.var(UW, "u")
-    w = BivarPoly.var(UW, "w")
+    u = BinaryForm.var(UW, "u")
+    w = BinaryForm.var(UW, "w")
     h = a + b
-    one = BivarPoly.const(UW, 1)
+    one = BinaryForm.const(UW, 1)
     q1 = ParametricPoint(2 * h**2, 4 * h * (a**2 + a * b + b**2), one)
     q2 = ParametricPoint(4 * u**2 * f2 * f3, 4 * u * f2 * f3 * t10, w**2)
     return q1, q2
 
 
-def transfer_parametric(q: ParametricPoint, n_expr: BivarPoly) -> ParametricPoint:
+def transfer_parametric(q: ParametricPoint, n_expr: BinaryForm) -> ParametricPoint:
     """Symbolic version of the dual-isogeny transfer from y^2 = x^3 + 4Nx.
 
     (X, Y) -> (Y^2/(4X^2), Y(X^2 - 4N)/(8X^2)) as in
@@ -153,26 +153,26 @@ def euler_family_points() -> tuple[ParametricPoint, ...]:
     the last two are the symbolic transfers of Q2 and Q1.
     """
     a, b, f1, f2, f3, f4, t10, y1fac = _euler_building_blocks()
-    u = BivarPoly.var(UW, "u")
-    w = BivarPoly.var(UW, "w")
+    u = BinaryForm.var(UW, "u")
+    w = BinaryForm.var(UW, "w")
     p1 = ParametricPoint(f2 * f4, u**2 * y1fac * f2 * f4, w)
-    p2 = ParametricPoint(-(a**2), a * b**2, BivarPoly.const(UW, 1))
+    p2 = ParametricPoint(-(a**2), a * b**2, BinaryForm.const(UW, 1))
     q1, q2 = euler_associated_points()
     n = euler_n_poly()
     return p1, p2, transfer_parametric(q2, n), transfer_parametric(q1, n)
 
 
-def printed_transfer_x() -> tuple[tuple[BivarPoly, BivarPoly], ...]:
+def printed_transfer_x() -> tuple[tuple[BinaryForm, BinaryForm], ...]:
     """The closed-form x-coordinates t10^2/(2u*w^2)^2 and
     (A^2 + AB + B^2)^2/(A + B)^2 of the two transferred points, each as a
     pair (x, z) standing for x/z^2."""
     a, b, _, _, _, _, t10, _ = _euler_building_blocks()
-    u = BivarPoly.var(UW, "u")
-    w = BivarPoly.var(UW, "w")
+    u = BinaryForm.var(UW, "u")
+    w = BinaryForm.var(UW, "w")
     return (t10**2, 2 * u * w**2), ((a**2 + a * b + b**2) ** 2, a + b)
 
 
-def same_x(pt: ParametricPoint, x: BivarPoly, z: BivarPoly) -> bool:
+def same_x(pt: ParametricPoint, x: BinaryForm, z: BinaryForm) -> bool:
     """True iff pt has the x-coordinate x/z^2, as a polynomial identity."""
     return pt.x * z**2 == x * pt.z**2
 
@@ -182,7 +182,7 @@ def same_x(pt: ParametricPoint, x: BivarPoly, z: BivarPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_parametric_point(pt: ParametricPoint, b: BivarPoly) -> bool:
+def verify_parametric_point(pt: ParametricPoint, b: BinaryForm) -> bool:
     """True iff y^2 = x^3 + b*x*z^4 holds as a polynomial identity.
 
     b = -N for the curve itself and b = 4N for its associated curve.
@@ -191,7 +191,7 @@ def verify_parametric_point(pt: ParametricPoint, b: BivarPoly) -> bool:
 
 
 def _specialize(
-    pt: ParametricPoint, n_form: BivarPoly, s: int, t: int, where: str
+    pt: ParametricPoint, n_form: BinaryForm, s: int, t: int, where: str
 ) -> Point:
     """The point (X/Z^2, Y/Z^3) on y^2 = x^3 - N*x, all four forms at (s, t)."""
     Z = pt.z.evaluate(s, t)
@@ -273,21 +273,18 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     """
     a, b, c, d = euler_quadruple()
     if mutate:
-        a = a + BivarPoly(UW, {(7, 0): 1})
+        a = a + BinaryForm(UW, [0] * 7 + [1])
     results = []
     results.append(("euler-quadruple-balance", a**4 + b**4 == c**4 + d**4))
     results.append(
-        (
-            "euler-quadruple-homogeneous-deg7",
-            all(p.is_homogeneous(7) for p in (a, b, c, d)),
-        )
+        ("euler-quadruple-homogeneous-deg7", all(p.degree == 7 for p in (a, b, c, d)))
     )
     n = euler_n_poly()
     results.append(("euler-n-equals-a4-plus-b4", n == a**4 + b**4))
     results.append(("euler-n-equals-c4-plus-d4", n == c**4 + d**4))
 
-    m = BivarPoly.var(MN, "m")
-    nn = BivarPoly.var(MN, "n")
+    m = BinaryForm.var(MN, "m")
+    nn = BinaryForm.var(MN, "n")
     gn = general_n_poly()
     results.append(
         ("general-space-d-minus1", -(nn**4) + gn == (m**2) ** 2)
@@ -319,8 +316,8 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     # exact squares of integer forms (the H of each solution); the gaps in
     # degree are padded with powers of w
     a, b, f1, f2, f3, f4, t10, y1fac = _euler_building_blocks()
-    u = BivarPoly.var(UW, "u")
-    w = BivarPoly.var(UW, "w")
+    u = BinaryForm.var(UW, "u")
+    w = BinaryForm.var(UW, "w")
     results.append(
         ("euler-space-d-f2f4", f2 * f4 - w**4 * f1 * f3 == (u**2 * y1fac) ** 2)
     )

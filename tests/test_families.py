@@ -25,7 +25,7 @@ from biquad.families import (
     specialize_general,
     verify_parametric_point,
 )
-from biquad.poly import BivarPoly, PolyUsageError
+from biquad.poly import BinaryForm, PolyUsageError
 
 UW = ("u", "w")
 
@@ -43,7 +43,7 @@ class TestEulerQuadruple:
 
     def test_homogeneous_degree_7(self):
         for p in euler_quadruple():
-            assert p.is_homogeneous(7)
+            assert p.degree == 7
 
     def test_scaling_consistency(self):
         # homogeneity exercised through integer scalings of (u, w)
@@ -72,12 +72,11 @@ class TestEulerN:
 
     def test_factors_even(self):
         for f in euler_n_factors():
-            assert all(e[0] % 2 == 0 for e in f.coeffs)
+            assert not any(f.coeffs[1::2])
 
     def test_factors_are_forms_of_degree_28(self):
-        degrees = (4, 8, 8, 8)
-        assert all(f.is_homogeneous(d) for f, d in zip(euler_n_factors(), degrees))
-        assert euler_n_poly().is_homogeneous(28)
+        assert [f.degree for f in euler_n_factors()] == [4, 8, 8, 8]
+        assert euler_n_poly().degree == 28
 
     def test_value_is_exact_fraction(self):
         assert euler_n(Fraction(1, 2)) == Fraction(635318657, 2**28)
@@ -85,8 +84,8 @@ class TestEulerN:
 
     def test_sums_of_squares(self):
         # the identities behind N(p, q) > 0 in euler_degenerate
-        u = BivarPoly.var(UW, "u")
-        w = BivarPoly.var(UW, "w")
+        u = BinaryForm.var(UW, "u")
+        w = BinaryForm.var(UW, "w")
         _, f2, f3, _ = euler_n_factors()
         assert f2 == (u**4 - w**4) ** 2 + u**4 * w**4
         assert f3 == (u**4 - 2 * u**2 * w**2) ** 2 + (2 * u**2 * w**2 - w**4) ** 2
@@ -170,7 +169,7 @@ class TestEulerFamilyPoints:
 
     def test_x1_at_2_factors(self):
         p1 = euler_family_points()[0]
-        assert p1.z == BivarPoly.var(UW, "w")
+        assert p1.z == BinaryForm.var(UW, "w")
         assert p1.x.evaluate(2, 1) == 241 * 569 == 137129
 
     def test_denominators_at_2(self):
@@ -241,8 +240,8 @@ class TestEulerIntegralModel:
 class TestVerifyParametricPoint:
     def test_negative(self):
         n = euler_n_poly()
-        one = BivarPoly.const(UW, 1)
-        bad = ParametricPoint(BivarPoly.const(UW, 0), one, one)
+        one = BinaryForm.const(UW, 1)
+        bad = ParametricPoint(BinaryForm.const(UW, 0), one, one)
         assert not verify_parametric_point(bad, -n)
         # P1 has z = w; the same x and y with z = 2w is another point, off the curve
         p1 = euler_family_points()[0]
@@ -252,13 +251,13 @@ class TestVerifyParametricPoint:
 
 class TestParametricPoint:
     def test_zero_z_rejected(self):
-        one = BivarPoly.const(UW, 1)
+        one = BinaryForm.const(UW, 1)
         with pytest.raises(PolyUsageError):
-            ParametricPoint(one, one, BivarPoly.const(UW, 0))
+            ParametricPoint(one, one, BinaryForm.const(UW, 0))
 
     def test_vanishing_z_is_degenerate(self):
-        u = BivarPoly.var(UW, "u")
-        w = BivarPoly.var(UW, "w")
+        u = BinaryForm.var(UW, "u")
+        w = BinaryForm.var(UW, "w")
         pt = ParametricPoint(u, u, u - 2 * w)
         with pytest.raises(DegenerateSpecializationError, match="vanishes at u = 2"):
             specialize_euler(pt, 2)

@@ -17,7 +17,7 @@ _spec.loader.exec_module(_tracing)
 WRAPPED = _tracing.WRAPPED
 
 # heights no longer calls scalar_mul, so this span is known to read zero;
-# it returns with the in-package recorder of ROADMAP item 3
+# it returns with the in-package recorder of ROADMAP item 4
 KNOWN_DEAD = {("biquad.heights", "scalar_mul")}
 
 
