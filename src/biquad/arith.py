@@ -6,7 +6,9 @@ A square class, an element of Q*/(Q*)^2, is its squarefree integer.
 Factorization is Pollard rho with Brent's cycle detection (Brent, "An
 improved Monte Carlo factorization algorithm", BIT 20, 1980) and a
 Miller-Rabin test.  Rho finds a prime factor p in about sqrt(p) steps,
-so small primes need no trial division of their own.
+so small primes need no trial division of their own.  Both draw their
+random numbers from random.Random(n), so the work done on n depends on n
+alone, never on earlier calls.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ class ArithDomainError(ValueError):
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sinclair's bases).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_rng = random.Random(0x5EED)
 
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
@@ -55,15 +55,17 @@ def is_probable_prime(n: int) -> bool:
     if n < 2**64:
         bases = _MR_BASES_64
     else:
-        bases = tuple(_rng.randrange(2, n - 1) for _ in range(64))
+        rng = random.Random(n)
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
     return not any(_miller_rabin_witness(n, a) for a in bases)
 
 
 def _pollard_brent(n: int) -> int:
     """Brent-cycle Pollard rho; returns a nontrivial factor of odd composite n."""
+    rng = random.Random(n)
     while True:
-        y = _rng.randrange(1, n)
-        c = _rng.randrange(1, n)
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         x = ys = y

@@ -34,12 +34,14 @@ p with p || B:
     U, so d*U^4 has valuation 1).  QED
 
 A space failing either condition has no rational point, so none is
-searched.  With d written as its exponent vector over GF(2) (the sign,
-then one bit per prime), both conditions at p are one character:
-(d/p) = (-1/p)^sign * prod (q/p) over the other primes q | d, and for
-p | d, ((B/d)/p) = ((B/p)/p) * (d/p with p removed).  A space survives
-p when the parity of (its mask & M_p) is 0, where M_p marks the
-non-residues mod p among -1, the other primes and B/p.
+searched.  Both conditions are characters of d, multiplicative in d:
+the real one is -1 exactly when d < 0 and B > 0, and the one at p is
+(d/p) for p not dividing d and ((B/d)/p) = ((B/p)/p) * (d'/p) for
+d = p*d', so the generator p contributes ((B/p)/p).  The spaces that pass
+every test are the kernel of these characters, a subgroup of the signed
+squarefree divisors; elimination over GF(2) on the character bits of the
+generators -1, p_1, ... finds a basis of it, and no other divisor is
+visited.
 
 Residue sieve.  In the spaces left, each (d, u, v) is tested modulo a
 fixed list of small moduli before any square root is taken.  If
@@ -105,40 +107,30 @@ def _squares(m: int) -> np.ndarray:
     return table
 
 
-def _divisor(mask: int, primes: list[int]) -> int:
-    """The d of a mask: bit 0 is its sign, bit j + 1 says primes[j] | d."""
-    d = math.prod(p for j, p in enumerate(primes) if mask >> (j + 1) & 1)
-    return -d if mask & 1 else d
+def _local_spaces(B: int, primes: list[int]) -> list[int]:
+    """The d of the spaces with a real point and a point mod every odd p || B.
 
-
-def _local_spaces(B: int, primes: list[int]) -> np.ndarray:
-    """Masks of the spaces with a real point and a point mod every odd p || B.
-
-    Bit t + 1 of fails[mask] is the character of the t-th such p, bit 0
-    that of the real place; a space survives when all of them are 0.
-    Characters are additive in the mask, so fails is built by doubling.
+    Bit 0 of a generator's word is its real character, bit t + 1 its
+    character at the t-th such p.  Each generator is reduced against the
+    pivots so far (keyed by lowest bit), carrying its d along; one that
+    reaches the zero word is in the kernel, and the survivors are the
+    subgroup those generate.
     """
     odd = [p for p in primes if p > 2 and B % (p * p)]
-    fails = np.zeros(1, dtype=np.int64)
+    pivots, kernel = {}, []
     for g in [-1, *primes]:
-        bits = int(g == -1 and B > 0)
+        bits, d = int(g == -1 and B > 0), g
         for t, p in enumerate(odd):
             if pow(B // p if g == p else g, (p - 1) // 2, p) != 1:
                 bits |= 2 << t
-        fails = np.concatenate([fails, fails ^ bits])
-    return np.flatnonzero(fails == 0)
-
-
-def _residues(B: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """d and B/d modulo each sieve modulus (rows), for every mask (columns)."""
-    d = np.ones_like(_MODS)
-    c = np.array([[B // math.prod(primes) % m] for m in _MODULI], dtype=np.int64)
-    for g in [-1, *primes]:
-        r = np.array([[g % m] for m in _MODULI], dtype=np.int64)
-        d = np.hstack([d, d * r % _MODS])
-        # a prime moves from B/d into d; the sign flips on both sides
-        c = np.hstack([c * r % _MODS, c] if g > 0 else [c, c * r % _MODS])
-    return d, c
+        while bits and bits & -bits in pivots:
+            pbits, e = pivots[bits & -bits]
+            bits, d = bits ^ pbits, d * e // math.gcd(d, e) ** 2
+        if bits:
+            pivots[bits & -bits] = bits, d
+        else:
+            kernel.append(d)
+    return sorted(_subgroup(kernel))
 
 
 def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution]:
@@ -163,13 +155,12 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
     # the local test at p is a Legendre symbol: p must be prime
     if any(p < 2 or B % p or not arith.is_probable_prime(p) for p in primes):
         raise ArithDomainError(f"not all of {list(primes)} are primes dividing B = {B}")
-    primes = sorted(set(primes))
-    masks = _local_spaces(B, primes)
+    spaces = _local_spaces(B, sorted(set(primes)))
     n = height_bound
     if n == 0:
         return []
-    d_res, c_res = _residues(B, primes)
-    d_res, c_res = d_res[:, masks], c_res[:, masks]
+    d_res = np.array([[d % m for d in spaces] for m in _MODULI], dtype=np.int64)
+    c_res = np.array([[B // d % m for d in spaces] for m in _MODULI], dtype=np.int64)
     pow4 = np.arange(n + 1) % _MODS
     pow4 = pow4 * pow4 % _MODS
     pow4 = pow4 * pow4 % _MODS
@@ -183,9 +174,9 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
             keep = _squares(_MODULI[i])[r]
             s, u, v = s[keep], u[keep], v[keep]
         keep = np.gcd(u, v) == 1
-        s, u, v = masks[s[keep]].tolist(), u[keep].tolist(), v[keep].tolist()
-        for mask, x, y in zip(s, u, v):
-            d = _divisor(mask, primes)
+        s, u, v = s[keep].tolist(), u[keep].tolist(), v[keep].tolist()
+        for k, x, y in zip(s, u, v):
+            d = spaces[k]
             lhs = d * x**4 + B // d * y**4
             if lhs >= 0:
                 h = math.isqrt(lhs)
@@ -195,7 +186,7 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
     m0, squares0 = _MODULI[0], _squares(_MODULI[0])
     width = min(n, _CHUNK)
     rows = max(1, _CHUNK // width)
-    n_rows = masks.size * (n + 1)  # row (s, u) is s * (n + 1) + u
+    n_rows = len(spaces) * (n + 1)  # row (s, u) is s * (n + 1) + u
     pool, pooled = [], 0
     for r0 in range(0, n_rows, rows):
         s, u = np.divmod(np.arange(r0, min(r0 + rows, n_rows)), n + 1)

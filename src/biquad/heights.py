@@ -163,9 +163,8 @@ def canonical_height(p: Point) -> HeightValue:
     b = p.curve.b
     d_const, log_d, log_bound = _curve_constants(b)
 
-    worst = max(log_d, log_bound)
-    n_iter = max(8, math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4)))
-    n_iter = min(n_iter, 60)
+    worst = max(log_d, log_bound)  # D >= 256, so n_iter >= 21
+    n_iter = math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4))
 
     u0 = p.x.numerator
     v0 = p.x.denominator

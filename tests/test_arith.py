@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from biquad.arith import (
     ArithDomainError,
+    _pollard_brent,
     factorize,
     is_perfect_square,
     is_probable_prime,
@@ -96,6 +97,16 @@ class TestFactorizeByRho:
     def test_squared_prime_below_10_6(self):
         # 28081^2 * 437681, the N of `descent --N 345130096641041`
         assert factorize(345130096641041) == {28081: 2, 437681: 1}
+
+    def test_rho_depends_on_n_alone(self):
+        # three primes of one size, so which divisor rho finds depends on
+        # its random start; factorize calls in between must not move it
+        n = 1000003 * 1000033 * 1000037
+        first = _pollard_brent(n)
+        for m in range(10**12 + 39, 10**12 + 239, 20):
+            factorize(m * 1000099)
+            assert _pollard_brent(n) == first
+        assert 1 < first < n and n % first == 0
 
 
 class TestEulerSplit:

@@ -11,7 +11,6 @@ from biquad.arith import ArithDomainError, factorize, kernel_over
 from biquad.curves import Curve, CurveUsageError, Point
 from biquad.descent import (
     HomSpaceSolution,
-    _divisor,
     _local_spaces,
     _subgroup,
     rank_lower_bound,
@@ -126,6 +125,16 @@ factored_b = st.tuples(
 ).filter(lambda t: math.prod(p**e for p, e in t[1].items()) <= 5000)
 
 
+def signed_divisors(primes):
+    """Every d = +-(product of distinct primes from primes)."""
+    return {
+        sign * math.prod(c)
+        for r in range(len(primes) + 1)
+        for c in itertools.combinations(primes, r)
+        for sign in (1, -1)
+    }
+
+
 def b_and_primes(t):
     sign, factors = t
     return sign * math.prod(p**e for p, e in factors.items()), sorted(factors)
@@ -150,17 +159,34 @@ class TestPrunedSieve:
     @given(factored_b)
     def test_pruned_spaces_have_no_solution(self, t):
         B, primes = b_and_primes(t)
-        kept = set(_local_spaces(B, primes).tolist())
-        pruned = {_divisor(m, primes) for m in range(2 << len(primes)) if m not in kept}
+        pruned = signed_divisors(primes) - set(_local_spaces(B, primes))
         assert not pruned & {d for d, *_ in exhaustive_oracle(B, 30)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(factored_b)
+    def test_local_spaces_are_the_d_that_pass(self, t):
+        # each d on its own: the real place, then at every odd p || B a
+        # Legendre symbol on d (p not dividing d) or on B/d (p | d)
+        B, primes = b_and_primes(t)
+        odd = [p for p in primes if p > 2 and B % (p * p)]
+
+        def passes(d):
+            if d < 0 and B // d < 0:
+                return False
+            return all(pow(B // d if d % p == 0 else d, (p - 1) // 2, p) == 1 for p in odd)
+
+        spaces = set(_local_spaces(B, primes))
+        assert spaces == {d for d in signed_divisors(primes) if passes(d)}
+        assert all(d * e // math.gcd(d, e) ** 2 in spaces for d in spaces for e in spaces)
+        assert len(spaces) & (len(spaces) - 1) == 0
 
     def test_local_test_prunes(self):
         # 3 || -3: (-1/3) = -1 rules out d = -1 and, since B/3 = -1, d = 3
-        assert {_divisor(m, [3]) for m in _local_spaces(-3, [3])} == {1, -3}
+        assert set(_local_spaces(-3, [3])) == {1, -3}
         # B > 0: d < 0 gives B/d < 0, no real point; 2 is a square mod 17
-        assert {_divisor(m, [2, 17]) for m in _local_spaces(68, [2, 17])} == {1, 2, 17, 34}
+        assert set(_local_spaces(68, [2, 17])) == {1, 2, 17, 34}
         # 3^2 | B: no test at 3
-        assert len(_local_spaces(-9, [3])) == 4
+        assert set(_local_spaces(-9, [3])) == {1, -1, 3, -3}
 
     def test_memory_does_not_grow_with_bound(self):
         search_solutions(-17, 1, [17])  # builds the fixed residue tables
@@ -173,6 +199,22 @@ class TestPrunedSieve:
         assert (-1, 2, 5, 103) in [(s.d, s.u_val, s.v_val, s.h_val) for s in sols]
         # one int64 array over the 10^6 pairs of the box would take 8 MB
         assert peak < 3 * 2**20
+
+    def test_memory_does_not_grow_with_the_primes(self):
+        # 16 odd primes, 21 digits: 2^17 signed divisors of B = -N and 2^18
+        # of 4N, of which the local tests keep 2 and 4
+        primes = [p for p in range(3, 60) if all(p % q for q in range(2, p))]
+        assert len(primes) == 16
+        rank_lower_bound(17, 1)  # builds the fixed residue tables
+        tracemalloc.start()
+        try:
+            r = rank_lower_bound(math.prod(primes), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.s == r.s_prime == 2
+        # one int64 word per signed divisor would take 1 MB
+        assert peak < 2**20
 
 
 class TestRankLowerBound:
