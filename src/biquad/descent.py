@@ -159,8 +159,9 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
     n = height_bound
     if n == 0:
         return []
+    cofactors = [B // d for d in spaces]
     d_res = np.array([[d % m for d in spaces] for m in _MODULI], dtype=np.int64)
-    c_res = np.array([[B // d % m for d in spaces] for m in _MODULI], dtype=np.int64)
+    c_res = np.array([[c % m for c in cofactors] for m in _MODULI], dtype=np.int64)
     pow4 = np.arange(n + 1) % _MODS
     pow4 = pow4 * pow4 % _MODS
     pow4 = pow4 * pow4 % _MODS
@@ -177,7 +178,7 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
         s, u, v = s[keep].tolist(), u[keep].tolist(), v[keep].tolist()
         for k, x, y in zip(s, u, v):
             d = spaces[k]
-            lhs = d * x**4 + B // d * y**4
+            lhs = d * x**4 + cofactors[k] * y**4
             if lhs >= 0:
                 h = math.isqrt(lhs)
                 if h * h == lhs:

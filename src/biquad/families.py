@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .arith import ArithDomainError
 from .curves import Curve, Point
@@ -99,6 +100,7 @@ def general_n_poly() -> BinaryForm:
     return BinaryForm(MN, [1, 0, 0, 0, 1])
 
 
+@cache
 def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
     """P1 = (-n^2, m^2 n) and the transferred point P2 on y^2 = x^3 - (m^4+n^4)x."""
     m = BinaryForm.var(MN, "m")
@@ -146,6 +148,7 @@ def transfer_parametric(q: ParametricPoint, n_expr: BinaryForm) -> ParametricPoi
     return ParametricPoint(Y**2, X * Y * (X**2 - 4 * n_expr * Z**4), 2 * X * Z)
 
 
+@cache
 def euler_family_points() -> tuple[ParametricPoint, ...]:
     """The four parametric points on y^2 = x^3 - N*x.
 

@@ -10,11 +10,28 @@ Algorithm: split the doubling recursion on reduced fractions u/v into
   hhat(P) = G(u, v) - sum_j 4^-j log g_j
 
 where G is the archimedean Green's function of the duplication forms
-F = (u^2 - b v^2)^2, G = 4uv(u^2 + b v^2), evaluated by normalized
-high-precision iteration, and g_j is the gcd cancelled at step j.  Each
-g_j divides a fixed curve constant D (below), so both tails admit
-explicit geometric bounds.  The resulting error bound is far below the
-10^-3 contract.
+F = (u^2 - b v^2)^2, G = 4uv(u^2 + b v^2), evaluated in fixed point
+(below), and g_j is the gcd cancelled at step j.  Each g_j divides a
+fixed curve constant D (below), so both tails admit explicit geometric
+bounds.  The resulting error bound is far below the 10^-3 contract.
+
+Green's function: the loop keeps (u, v) as Python integers (U, V) with
+(u, v) = 2^E (U, V) / 2^prec and max(|U|, |V|) in [2^prec, 2^(prec+1)).
+After each step it renormalizes by a right shift of
+bit_length - 1 - prec, the loop's only rounding.  Every scale factor is
+then a power of 2, so the truncated sum after N steps is
+
+  4^-N log max(|u_N|, |v_N|) = (E log 2 + log lam_N) / 4^N
+
+with lam_N = max(|U_N|, |V_N|) / 2^prec in [1, 2) and the exact integer
+E = sum_n 4^(N-n) e_n, built as E <- 4E + shift - 3 prec from
+E = bits(max(|u_0|, v_0)) - 1.  That is one float log per height, of
+lam_N.  E log 2 is an integer product with ln 2 to 192 bits, and the
+sum is rounded once, by an int/int true division.  The precision is
+prec = 400 + bits(b): unlike a floating mantissa, fixed point keeps fewer
+bits of the smaller of U and V, and b v^2 needs about bits(b) more.
+With 400 bits alone, 7 of the 14 Gram points at u = 1000000000007/3 (a
+1117-bit b) get a float that differs from a 300-digit floating loop.
 
 Precision: the g_j are exact from residues modulo a modulus M with D | M.
 Let (u_j, v_j) be the reduced pair after j steps.  Since g_{j+1} divides
@@ -60,12 +77,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .curves import CurveUsageError, Point, add
 
-_DPS = 120
 _TARGET = 1e-12  # absolute error the iteration count aims for
+_PREC_BASE = 400  # fixed-point bits of the Green loop, plus the bits of b
+
+# ln 2 * 2^_LN2_BITS, truncated: ln 2 = sum_k 1 / (k 2^k)
+_LN2_BITS = 192
+_LN2 = sum((1 << _LN2_BITS) // (k << k) for k in range(1, _LN2_BITS + 1))
 
 
 class HeightUsageError(CurveUsageError):
@@ -151,6 +170,26 @@ def _is_torsion(p: Point) -> bool:
     return p.y == 0 or p.x * p.x == p.curve.b
 
 
+def _green(u0: int, v0: int, b: int, n_iter: int) -> float:
+    """n_iter steps of the archimedean Green's function at x = u0/v0, in fixed
+    point (module docstring, "Green's function")."""
+    # (uf, vf) and e_sum are the docstring's (U, V) and E
+    prec = _PREC_BASE + abs(b).bit_length()
+    e_sum = max(abs(u0), v0).bit_length() - 1
+    shift = e_sum - prec
+    uf, vf = (u0 >> shift, v0 >> shift) if shift >= 0 else (u0 << -shift, v0 << -shift)
+    for _ in range(n_iter):
+        uu, bvv = uf * uf, b * vf * vf
+        fu = (uu - bvv) ** 2
+        gv = 4 * uf * vf * (uu + bvv)
+        shift = max(fu, abs(gv)).bit_length() - 1 - prec
+        uf, vf = fu >> shift, gv >> shift
+        e_sum = 4 * e_sum + shift - 3 * prec
+    log_lam = math.log(max(abs(uf), abs(vf)) / (1 << prec))
+    num = e_sum * _LN2 + int(math.ldexp(log_lam, _LN2_BITS))
+    return num / (1 << (2 * n_iter + _LN2_BITS))
+
+
 def canonical_height(p: Point) -> HeightValue:
     """Canonical height with a certified absolute error bound.
 
@@ -192,21 +231,7 @@ def canonical_height(p: Point) -> HeightValue:
         k = min(2 * k, n_iter + 1)
     gcd_tail = log_d * 4.0**-n_iter / 3.0
 
-    # archimedean Green's function by normalized iteration
-    with mpmath.workdps(_DPS):
-        au = mpmath.mpf(u0)
-        av = mpmath.mpf(v0)
-        s = max(abs(au), av)
-        green = mpmath.log(s)
-        au, av = au / s, av / s
-        bb = mpmath.mpf(b)
-        for n in range(1, n_iter + 1):
-            fu = (au * au - bb * av * av) ** 2
-            gv2 = 4 * au * av * (au * au + bb * av * av)
-            s = max(abs(fu), abs(gv2))
-            green += mpmath.log(s) / mpmath.mpf(4) ** n
-            au, av = fu / s, gv2 / s
-        green_f = float(green)
+    green_f = _green(u0, v0, b, n_iter)
     green_tail = log_bound * 4.0**-n_iter / 3.0
 
     value = green_f - gcd_sum

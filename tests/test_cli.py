@@ -345,6 +345,23 @@ def test_theorem2_large_u_finishes(u):
     assert int(doc["N"]) == math.prod(euler_parts_oracle(q.numerator, q.denominator))
 
 
+def test_runtime_imports_leave_out_mpmath():
+    # mpmath is a test dependency only: the oracles use it, the program does not
+    r = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, biquad.cli, biquad.search; print('mpmath' in sys.modules)",
+        ],
+        cwd=Path(__file__).resolve().parent.parent / "src",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "argv, heights",
     [

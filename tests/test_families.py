@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -273,3 +274,20 @@ class TestIdentitySuite:
     def test_mutation_negative_control(self):
         failing = [name for name, ok in identity_suite(mutate=True) if not ok]
         assert failing == ["euler-quadruple-balance", "euler-n-equals-a4-plus-b4"]
+
+
+class TestParametricPointCache:
+    def test_same_object(self):
+        assert euler_family_points() is euler_family_points()
+        assert general_family_points() is general_family_points()
+
+    def test_mutate_after_cache(self, capsys):
+        from biquad.cli import main
+
+        euler_family_points(), general_family_points()
+        assert main(["verify-identities", "--mutate"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        failing = [row["name"] for row in doc["identities"] if not row["pass"]]
+        assert failing == ["euler-quadruple-balance", "euler-n-equals-a4-plus-b4"]
+        # the perturbed A stays inside the suite: the cached points are intact
+        assert all(ok for _, ok in identity_suite())

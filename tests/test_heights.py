@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 import biquad.heights
 from biquad.curves import Curve, add, scalar_mul
 from biquad.heights import (
-    _DPS,
     _TARGET,
     GramMatrix,
     HeightUsageError,
     HeightValue,
     _curve_constants,
+    _green,
     _is_torsion,
     canonical_height,
     gram_matrix,
@@ -26,6 +26,7 @@ from biquad.heights import (
 from conftest import family_curve_points, random_family_point
 
 E17 = Curve(-17)
+ORACLE_DPS = 120  # digits of the oracles' mpmath Green loop
 
 
 def doubling_limit_oracle(p, k=6):
@@ -112,16 +113,40 @@ class TestCanonicalHeight:
             assert canonical_height(c.point(0, 0)).value <= 1e-3
 
 
+def oracle_n_iter(b):
+    _, log_d, log_bound = _curve_constants(b)
+    worst = max(log_d, log_bound)
+    n_iter = max(8, math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4)))
+    return min(n_iter, 60)
+
+
+def oracle_green(u0, v0, b, n_iter, dps=ORACLE_DPS):
+    """The Green's-function loop by normalized iteration in mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        au = mpmath.mpf(u0)
+        av = mpmath.mpf(v0)
+        s = max(abs(au), av)
+        green = mpmath.log(s)
+        au, av = au / s, av / s
+        bb = mpmath.mpf(b)
+        for n in range(1, n_iter + 1):
+            fu = (au * au - bb * av * av) ** 2
+            gv2 = 4 * au * av * (au * au + bb * av * av)
+            s = max(abs(fu), abs(gv2))
+            green += mpmath.log(s) / mpmath.mpf(4) ** n
+            au, av = fu / s, gv2 / s
+        return float(green)
+
+
 def full_modulus_oracle(p):
     """canonical_height with the gcd residues carried modulo D^(n_iter + 1),
-    the modulus that needs no check; returns (HeightValue, [g_1, ..., g_n])."""
+    the modulus that needs no check, and the Green loop in mpmath;
+    returns (HeightValue, [g_1, ..., g_n])."""
     if p.is_identity or _is_torsion(p):
         return HeightValue(0.0, 0.0), []
     b = p.curve.b
     d_const, log_d, log_bound = _curve_constants(b)
-    worst = max(log_d, log_bound)
-    n_iter = max(8, math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4)))
-    n_iter = min(n_iter, 60)
+    n_iter = oracle_n_iter(b)
     u0, v0 = p.x.numerator, p.x.denominator
 
     mod = d_const ** (n_iter + 1)
@@ -138,20 +163,7 @@ def full_modulus_oracle(p):
         a_res, b_res = (fv // g) % mod, (gv // g) % mod
     gcd_tail = log_d * 4.0**-n_iter / 3.0
 
-    with mpmath.workdps(_DPS):
-        au = mpmath.mpf(u0)
-        av = mpmath.mpf(v0)
-        s = max(abs(au), av)
-        green = mpmath.log(s)
-        au, av = au / s, av / s
-        bb = mpmath.mpf(b)
-        for n in range(1, n_iter + 1):
-            fu = (au * au - bb * av * av) ** 2
-            gv2 = 4 * au * av * (au * au + bb * av * av)
-            s = max(abs(fu), abs(gv2))
-            green += mpmath.log(s) / mpmath.mpf(4) ** n
-            au, av = fu / s, gv2 / s
-        green_f = float(green)
+    green_f = oracle_green(u0, v0, b, n_iter)
     green_tail = log_bound * 4.0**-n_iter / 3.0
 
     value = green_f - gcd_sum
@@ -172,6 +184,16 @@ def passes(gs, d_const):
         if j == len(gs):
             return done
         k = min(2 * k, len(gs) + 1)
+
+
+def euler_gram_points(u):
+    """The Euler family points at u and their sums P_i + P_j, i <= j: the
+    points whose heights make up the Gram matrix."""
+    from biquad.families import euler_family_points, specialize_euler
+
+    pts = [specialize_euler(pt, u) for pt in euler_family_points()]
+    sums = [add(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))]
+    return pts, sums
 
 
 @st.composite
@@ -217,10 +239,10 @@ class TestGcdPrecision:
         assert logged == [g for j in done for g in gs[:j] if g > 1]
 
     def test_euler_points(self):
-        from biquad.families import euler_family_points, specialize_euler
-
-        for pt in euler_family_points():
-            self.check(specialize_euler(pt, Fraction(5, 3)))
+        for u in (Fraction(5, 3), Fraction(-37, 40)):
+            pts, sums = euler_gram_points(u)
+            for p in pts + sums:
+                self.check(p)
 
     def test_169_digit_regulator_pinned(self):
         """u = 1000003/7: four heights on a 13,000-digit full modulus; the
@@ -239,6 +261,50 @@ class TestGcdPrecision:
         ]
         assert rep["determinant"] == "185310944.589705139399"
         assert rep["error_bound"] == "4.678e-03"
+
+
+@st.composite
+def euler_parameters(draw):
+    """A non-degenerate u = p/q with coprime |p|, q <= 40."""
+    from biquad.families import euler_degenerate
+
+    p = draw(st.integers(-40, 40))
+    q = draw(st.integers(1, 40))
+    assume(math.gcd(p, q) == 1 and euler_degenerate(Fraction(p, q)) is None)
+    return Fraction(p, q)
+
+
+class TestGreenFixedPoint:
+    """The fixed-point Green loop returns the float of the mpmath loop."""
+
+    @staticmethod
+    def check(p, dps=ORACLE_DPS):
+        b, u0, v0 = p.curve.b, p.x.numerator, p.x.denominator
+        n_iter = oracle_n_iter(b)
+        assert _green(u0, v0, b, n_iter) == oracle_green(u0, v0, b, n_iter, dps), p
+
+    @settings(max_examples=40, deadline=None)
+    @given(euler_parameters())
+    def test_euler_gram_points_and_multiples(self, u):
+        pts, sums = euler_gram_points(u)
+        for p in pts + sums:
+            self.check(p)
+        for p in pts:
+            for k in (2, 3):
+                self.check(scalar_mul(k, p))
+
+    @pytest.mark.parametrize("u, bits", [
+        (Fraction(1000000000007, 3), 1117),
+        (Fraction(1000000000000000003, 11), 1675),
+    ])
+    def test_large_b_against_300_digits(self, u, bits):
+        """Fixed point loses the bits of b*v^2 that a floating mantissa
+        keeps, so the loop's precision grows with the bits of b; 400 bits
+        alone give a different float on some of these points."""
+        pts, sums = euler_gram_points(u)
+        assert abs(pts[0].curve.b).bit_length() == bits
+        for p in pts + sums:
+            self.check(p, dps=300)
 
 
 class TestIsTorsion:
