@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .arith import ArithDomainError
 from .curves import Curve, Point, on_curve
@@ -191,6 +192,7 @@ def cmd_height(args) -> int:
     return _emit(payload, "ok", args.pretty)
 
 
+@cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="biquad",

@@ -33,20 +33,50 @@ bits of the smaller of U and V, and b v^2 needs about bits(b) more.
 With 400 bits alone, 7 of the 14 Gram points at u = 1000000000007/3 (a
 1117-bit b) get a float that differs from a 300-digit floating loop.
 
-Precision: the g_j are exact from residues modulo a modulus M with D | M.
-Let (u_j, v_j) be the reduced pair after j steps.  Since g_{j+1} divides
-D, g_{j+1} = gcd(F mod D, G mod D, D) at (u_j, v_j), so it needs only
-u_j, v_j mod D.  If u_j, v_j are known mod M and D | M, then F and G are
-known mod M, g_{j+1} divides M, and u_{j+1} = F/g_{j+1},
-v_{j+1} = G/g_{j+1} are known mod M/g_{j+1}.  So a pass from M = D^k stays
-exact while D divides what is left of M before each step.  The loop
+Precision: the g_j are exact from residues modulo a modulus over only
+the primes of D that can still divide a later g.  Let (u_j, v_j) be the
+reduced pair after j steps, so g_{j+1} = gcd(F, G) at (u_j, v_j), and let
+part(n, r) be the largest divisor of n whose primes all divide r
+(``_part``, by gcds alone).
+
+Lemma.  Let p be an odd prime dividing D, so p | b.  Then p | g_{j+1} iff
+p | u_j, and then p does not divide v_j: 2^j P reduces mod p to the
+singular point (0, 0) of y^2 = x^3 + bx.  If p does not divide u_j, then
+p divides neither g_{j+1} nor u_{j+1}.  Proof: mod p, F = u^4 and
+G = 4u^3 v.  If p | u both vanish.  Otherwise p does not divide F, so it
+divides neither g_{j+1} nor u_{j+1} = F/g_{j+1}.  By induction, once p
+drops out of g_j it divides no later u or g.  So an odd prime of g_1
+divides u_0, and an odd prime of g_{j+1} divides g_j.  In terms of
+reduction: the points of a p-integral Weierstrass model with nonsingular
+reduction form a subgroup (Silverman, AEC VII.2.1, whose proof needs no
+minimality).  The prime 2 is always kept: the model is singular mod 2,
+and G carries the factor 4, so g_1 can be even when u_0 is odd.  After
+step 1 keeping 2 is a choice, not a need: if g_j is odd, then 4 | v_j, so
+u_j and F are odd and 2 divides no later g.
+
+So with d_1 = part(D, 2 u_0) and d_{j+1} = part(d_j, 2 g_j), each g_j
+divides d_j, and g_j = gcd(F mod d_j, G mod d_j, d_j) at
+(u_{j-1}, v_{j-1}): it needs only u_{j-1}, v_{j-1} mod d_j.  Each d_j
+carries D's full power of each of its primes.  If u_{j-1}, v_{j-1} are
+known mod M and d_j | M, then F and G are known mod M, g_j divides M, and
+u_j = F/g_j, v_j = G/g_j are known mod M/g_j and so mod
+part(M/g_j, d_{j+1}), the next modulus.  A pass from M = d_1^k therefore
+stays exact while d_j divides what is left of M before step j.  The loop
 starts at k = 2 and, when that check fails, restarts from (u_0, v_0)
 with k doubled, capped at n + 1 for n steps.  At the cap the check never
-fails: before step j the modulus is D^(n+1) / (g_1 ... g_{j-1}), a
-multiple of D^(n+2-j) because each g_i divides D.  So the loop ends, with
-the same g_j as one pass at D^(n+1), and the doubling keeps its work
-within about twice that pass.  On the theorem2 Gram points at u = p/q,
-p, q <= 12, the g_j multiply to at most D^0.45 and no pass restarts.
+fails: before step j the modulus is the d_j-part of
+D^(n+1) / (g_1 ... g_{j-1}), a multiple of d_j^(n+2-j) because the
+d_j-part of each g_i divides d_j.  So the loop ends, with the same g_j as
+one pass at D^(n+1), and the doubling keeps its work within about twice
+that pass.  The check on d_j fails exactly where a check of D against
+D^k / (g_1 ... g_{j-1}) would: a prime's exponent there drops only at a
+step whose g it divides, and that prime is still in the next d.  So the
+passes, restarts included, are those of a loop carried modulo D^k.
+
+On the 1,260 theorem2 Gram points at u = p/q, p, q <= 12, the g_j
+multiply to at most D^0.45 and no pass restarts.  d_1 is at most D^0.68
+(median about D^0.05), and only g_1 ever has an odd prime, so d_2 = d_1
+and from d_3 on the modulus is a power of 2.
 
 Curve constants in closed form: with f = (x^2 - b)^2, g = 4x(x^2 + b) and
 the reversed forms f~ = (1 - b y^2)^2, g~ = 4y(1 + b y^2), the identities
@@ -165,6 +195,15 @@ def _curve_constants(b: int):
     return d_const, log_big(d_const), log_bound
 
 
+def _part(n: int, r: int) -> int:
+    """The largest divisor of n >= 1 whose primes all divide r, by gcds
+    alone: grow gcd(n, r) by gcd(n, part^2) until it stops changing."""
+    part = math.gcd(n, r)
+    while (grown := math.gcd(n, part * part)) != part:
+        part = grown
+    return part
+
+
 def _is_torsion(p: Point) -> bool:
     # 4P = O, in closed form (see module docstring)
     return p.y == 0 or p.x * p.x == p.curve.b
@@ -208,23 +247,26 @@ def canonical_height(p: Point) -> HeightValue:
     u0 = p.x.numerator
     v0 = p.x.denominator
 
-    # exact gcd corrections via residues modulo D^k: start at k = 2 and
-    # restart with k doubled, up to n_iter + 1, once D stops dividing the
+    # exact gcd corrections via residues modulo d_j^k, d_j the part of D over
+    # 2 and the odd primes that can still divide g_j: start at k = 2 and
+    # restart with k doubled, up to n_iter + 1, once d_j stops dividing the
     # modulus (module docstring, "Precision")
     k = 2
     while True:
-        mod = d_const**k
+        d = _part(d_const, 2 * u0)
+        mod = d**k
         a_res, b_res = u0 % mod, v0 % mod
         gcd_sum = 0.0
         for j in range(1, n_iter + 1):
-            if mod % d_const:
+            if mod % d:
                 break
             fv = (a_res * a_res - b * b_res * b_res) ** 2 % mod
             gv = 4 * a_res * b_res * (a_res * a_res + b * b_res * b_res) % mod
-            g = math.gcd(math.gcd(fv % d_const, gv % d_const), d_const)
+            g = math.gcd(math.gcd(fv % d, gv % d), d)
             if g > 1:
                 gcd_sum += log_big(g) / 4**j
-            mod //= g
+            d = _part(d, 2 * g)
+            mod = _part(mod // g, d)
             a_res, b_res = (fv // g) % mod, (gv // g) % mod
         else:
             break

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import biquad.arith
+import biquad.cli
 import biquad.heights
 from biquad.cli import main
 from biquad.curves import Curve, on_curve
@@ -382,6 +383,42 @@ def test_one_height_per_point(capsys, monkeypatch, argv, heights):
     assert code == 0
     assert len(points) == heights
     assert len(set(points)) == heights
+
+
+def test_parser_reused_without_leaks(capsys, monkeypatch, tmp_path):
+    """main builds its parser once; calls in a row print what calls on a
+    fresh parser print, and no option's value carries over to the next call."""
+    path = tmp_path / "pts.jsonl"
+    path.write_text(json.dumps(Curve(-17).point(-1, 4).to_json()) + "\n")
+    seq = [
+        ("theorem2", "--u", "5/3", "--bound", "7"),
+        ("theorem2", "--u", "2"),
+        ("descent", "--N", "17", "--bound", "1", "--points-file", str(path)),
+        ("descent", "--N", "17", "--bound", "1"),
+        ("height", "--curve", "-17", "--point", "(-1,4)", "--pretty"),
+        ("height", "--curve", "-17", "--point", "(-1,4)"),
+    ]
+    fresh = []
+    for argv in seq:
+        biquad.cli.build_parser.cache_clear()
+        assert main(list(argv)) == 0
+        fresh.append(capsys.readouterr().out)
+
+    calls = []
+    rank_lower_bound = biquad.cli.rank_lower_bound
+
+    def recording(n, bound, **kw):
+        calls.append((bound, len(kw.get("extra_points", ()))))
+        return rank_lower_bound(n, bound, **kw)
+
+    monkeypatch.setattr(biquad.cli, "rank_lower_bound", recording)
+    parser = biquad.cli.build_parser()
+    for argv, out in zip(seq, fresh):
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == out, argv
+    assert biquad.cli.build_parser() is parser
+    # theorem2's default bound is 2; the points file is read only when given
+    assert calls == [(7, 4), (2, 4), (1, 1), (1, 0)]
 
 
 class TestOutputContract:

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import biquad.heights
+from biquad.arith import factorize
 from biquad.curves import Curve, add, scalar_mul
 from biquad.heights import (
     _TARGET,
@@ -17,6 +18,7 @@ from biquad.heights import (
     _curve_constants,
     _green,
     _is_torsion,
+    _part,
     canonical_height,
     gram_matrix,
     log_big,
@@ -173,7 +175,9 @@ def full_modulus_oracle(p):
 
 def passes(gs, d_const):
     """Steps done by each pass of the loop in canonical_height: from D^2, the
-    exponent doubled after each pass that loses D from its modulus."""
+    exponent doubled after each pass that loses D from its modulus.  The
+    loop carries only the part d_j of D that can still divide a g, and its
+    check on d_j fails at the same steps (module docstring, "Precision")."""
     k, done = 2, []
     while True:
         mod, j = d_const**k, 0
@@ -208,6 +212,26 @@ def points_on_lines(draw):
     return Curve(b).point(x, k * x)
 
 
+@st.composite
+def non_minimal_points(draw):
+    """Points on y^2 = x^3 + b*x with t^4 | b, t in {2, 4, 3, 5, 7, 11}: a
+    point of points_on_lines moved by (x, y) -> (t^2 x, t^3 y) to t^4 b, so
+    t | x; or P = (x, k*x) with x = k^2 + t^4 s, so b = -t^4 s x and t need
+    not divide x."""
+    t = draw(st.sampled_from((2, 4, 3, 5, 7, 11)))
+    if draw(st.booleans()):
+        p = draw(points_on_lines())
+        return Curve(t**4 * p.curve.b).point(t * t * p.x, t**3 * p.y)
+    k = draw(st.integers(1, 80))
+    x = k * k + t**4 * draw(st.integers(-30, 30).filter(bool))
+    assume(x != 0)
+    return Curve(k * k * x - x * x).point(x, k * x)
+
+
+def odd_part(n):
+    return n >> ((n & -n).bit_length() - 1)
+
+
 class TestGcdPrecision:
     """canonical_height equals the full-modulus loop bit for bit."""
 
@@ -223,6 +247,27 @@ class TestGcdPrecision:
     def test_points_on_lines_and_doubles(self, p):
         self.check(p)
         self.check(add(p, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(non_minimal_points())
+    def test_non_minimal_curves_and_doubles(self, p):
+        self.check(p)
+        self.check(add(p, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(points_on_lines(), non_minimal_points()))
+    def test_lemma_on_oracle_gcds(self, p):
+        """The odd part of g_1 divides a power of gcd(u_0, D), the odd
+        primes of g_{j+1} are among those of g_j, and after an odd g_j
+        (j >= 1) every later g is odd."""
+        for q in (p, add(p, p)):
+            _, gs = full_modulus_oracle(q)
+            prev = math.gcd(q.x.numerator, _curve_constants(q.curve.b)[0])
+            for g in gs:
+                assert pow(prev, g.bit_length(), odd_part(g)) == 0, (q, gs)
+                prev = g
+            odd = [j for j, g in enumerate(gs) if g % 2]
+            assert all(g % 2 for g in gs[odd[0] if odd else len(gs):]), (q, gs)
 
     @pytest.mark.parametrize("b, x, y, restarts", [(-192, -8, 32, 1), (243, 9, 54, 3)])
     def test_restart_cases(self, monkeypatch, b, x, y, restarts):
@@ -305,6 +350,28 @@ class TestGreenFixedPoint:
         assert abs(pts[0].curve.b).bit_length() == bits
         for p in pts + sums:
             self.check(p, dps=300)
+
+
+class TestPart:
+    @staticmethod
+    def oracle(n, r):
+        return math.prod(p**e for p, e in factorize(n).items() if r % p == 0)
+
+    def test_against_factorize(self, rng):
+        primes = (2, 3, 5, 7, 11, 13, 101, 10007)
+        for _ in range(300):
+            n = math.prod(p ** rng.randint(0, 12) for p in rng.sample(primes, 4))
+            n *= rng.randint(1, 10**4)
+            r = math.prod(rng.sample(primes, rng.randint(0, 3))) * rng.randint(1, 99)
+            assert _part(n, r) == self.oracle(n, r), (n, r)
+            assert _part(n, -r) == _part(n, r)
+
+    def test_edges(self):
+        assert _part(1, 6) == 1
+        assert _part(2**10 * 3**7 * 5, 1) == 1
+        assert _part(2**10 * 3**7 * 5, 0) == 2**10 * 3**7 * 5
+        assert _part(2**10 * 3**7 * 5, 6) == 2**10 * 3**7
+        assert _part(2**10 * 3**7 * 5, 2**100) == 2**10
 
 
 class TestIsTorsion:
