@@ -53,8 +53,7 @@ class CliError(Exception):
 
 def _emit(payload: dict, status: str = "ok", pretty: bool = False) -> int:
     doc = {"status": status, **payload}
-    json.dump(doc, sys.stdout, indent=2 if pretty else None)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2 if pretty else None) + "\n")
     return 0 if status == "ok" else 1
 
 
@@ -243,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(status: str, exc: Exception, exit_code: int = 1) -> int:
-    json.dump({"status": status, "error": str(exc)}, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps({"status": status, "error": str(exc)}) + "\n")
     print(f"error: {exc}", file=sys.stderr)
     return exit_code
 

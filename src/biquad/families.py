@@ -79,6 +79,7 @@ def euler_n_factors() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
     return f1, f2, f3, f4
 
 
+@cache
 def euler_n_poly() -> BinaryForm:
     f1, f2, f3, f4 = euler_n_factors()
     return f1 * f2 * f3 * f4

@@ -76,7 +76,10 @@ passes, restarts included, are those of a loop carried modulo D^k.
 On the 1,260 theorem2 Gram points at u = p/q, p, q <= 12, the g_j
 multiply to at most D^0.45 and no pass restarts.  d_1 is at most D^0.68
 (median about D^0.05), and only g_1 ever has an odd prime, so d_2 = d_1
-and from d_3 on the modulus is a power of 2.
+and from d_3 on the modulus is a power of 2.  Once d_j is a power of 2,
+so is the modulus (its primes are always among those of d_j), and
+part(d_j, 2 g_j) = d_j and part(M/g_j, d_j) = M/g_j: the loop then only
+divides the modulus by g_j and takes no gcds of its own.
 
 Curve constants in closed form: with f = (x^2 - b)^2, g = 4x(x^2 + b) and
 the reversed forms f~ = (1 - b y^2)^2, g~ = 4y(1 + b y^2), the identities
@@ -265,8 +268,11 @@ def canonical_height(p: Point) -> HeightValue:
             g = math.gcd(math.gcd(fv % d, gv % d), d)
             if g > 1:
                 gcd_sum += log_big(g) / 4**j
-            d = _part(d, 2 * g)
-            mod = _part(mod // g, d)
+            if d & (d - 1):  # d has an odd prime: cut both to the next d
+                d = _part(d, 2 * g)
+                mod = _part(mod // g, d)
+            else:  # d and mod are powers of 2, and the next d is d
+                mod //= g
             a_res, b_res = (fv // g) % mod, (gv // g) % mod
         else:
             break
@@ -282,7 +288,8 @@ def canonical_height(p: Point) -> HeightValue:
 
 
 def gram_matrix(points) -> GramMatrix:
-    """Pairings (hhat(p+q) - hhat(p) - hhat(q)) / 2, from n + n(n+1)/2 heights."""
+    """Pairings (hhat(p+q) - hhat(p) - hhat(q)) / 2, from n(n+1)/2 heights:
+    hhat(P_i) on the diagonal and one height per sum P_i + P_j, i < j."""
     points = tuple(points)
     if not points:
         raise HeightUsageError("empty point list")
@@ -291,11 +298,10 @@ def gram_matrix(points) -> GramMatrix:
     h = [canonical_height(p) for p in points]
     n = len(points)
     entries = [[0.0] * n for _ in range(n)]
-    worst = 0.0
-    # the diagonal too goes through hhat(2P): hhat(P) alone would change the
-    # printed determinants in the last digits
+    worst = max(x.abs_error for x in h)
     for i in range(n):
-        for j in range(i, n):
+        entries[i][i] = h[i].value
+        for j in range(i + 1, n):
             hs = canonical_height(add(points[i], points[j]))
             entries[i][j] = entries[j][i] = (hs.value - h[i].value - h[j].value) / 2
             worst = max(worst, (hs.abs_error + h[i].abs_error + h[j].abs_error) / 2)

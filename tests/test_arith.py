@@ -6,7 +6,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import biquad.arith
 from biquad.arith import (
+    _MR_PSI,
     ArithDomainError,
     _pollard_brent,
     factorize,
@@ -30,6 +32,59 @@ def trial_division_oracle(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def carmichael_below(limit):
+    """Carmichael numbers below limit by Korselt's criterion: n composite
+    and squarefree with p - 1 | n - 1 for each prime p | n.  Each is a
+    Fermat probable prime to base 2, which screens the candidates."""
+    found = []
+    for n in range(3, limit, 2):
+        if pow(2, n - 1, n) != 1 or sympy.isprime(n):
+            continue
+        if all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in sympy.factorint(n).items()):
+            found.append(n)
+    return found
+
+
+class TestIsProbablePrime:
+    """Exact below 2^64 with the first k prime bases, k the least index
+    with n < psi_k (OEIS A014233): checked against sympy.isprime."""
+
+    def test_at_and_near_psi(self):
+        for psi in _MR_PSI:
+            for n in (psi - 2, psi, psi + 2):
+                assert is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_carmichael_below_10_6(self):
+        found = carmichael_below(10**6)
+        assert len(found) == 43 and found[:3] == [561, 1105, 1729]
+        assert not any(is_probable_prime(n) for n in found)
+
+    def test_random_below_2_64(self):
+        rng = random.Random(2064)
+        for _ in range(10**4):
+            n = rng.getrandbits(rng.randint(1, 64))
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_rounds(self, monkeypatch):
+        """The largest prime below each psi_k < 2^64 takes k rounds (k for
+        the first psi equal to it), and primes above 2^64 take 64."""
+        rounds = []
+        witness = biquad.arith._miller_rabin_witness
+        monkeypatch.setattr(
+            biquad.arith,
+            "_miller_rabin_witness",
+            lambda n, a: rounds.append(a) or witness(n, a),
+        )
+        for psi in _MR_PSI:
+            rounds.clear()
+            p = sympy.prevprime(psi)
+            assert is_probable_prime(p)
+            assert len(rounds) == (_MR_PSI.index(psi) + 1 if psi < 2**64 else 64), p
+        rounds.clear()
+        assert is_probable_prime(99999989)  # 8 digits, between psi_3 and psi_4
+        assert rounds == [2, 3, 5, 7]
 
 
 class TestFactorize:

@@ -366,8 +366,8 @@ def test_runtime_imports_leave_out_mpmath():
 @pytest.mark.parametrize(
     "argv, heights",
     [
-        (("theorem2", "--u", "5/3"), 14),  # 4 points + 10 pairwise sums
-        (("theorem1", "--m", "2", "--n", "1"), 5),  # 2 points + 3 pairwise sums
+        (("theorem2", "--u", "5/3"), 10),  # 4 points + 6 sums P_i + P_j, i < j
+        (("theorem1", "--m", "2", "--n", "1"), 3),  # 2 points + P_1 + P_2
     ],
 )
 def test_one_height_per_point(capsys, monkeypatch, argv, heights):

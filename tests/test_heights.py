@@ -289,8 +289,36 @@ class TestGcdPrecision:
             for p in pts + sums:
                 self.check(p)
 
+    def test_moduli_pinned(self, monkeypatch):
+        """The digits of the argument n and of the result of every _part
+        call, at the ten Gram points of u = 5/3 (D has 62 digits).  At P1,
+        d_1 = part(D, 2 u_0) has 40 digits and the pass starts from d_1^2;
+        g_1 keeps d and cuts the modulus to 57 digits; g_2 = 1 cuts d to
+        its 2-part (5 digits) and the modulus to 10.  From then on both are
+        powers of 2 and the loop only divides the modulus by g.  At P2, P3,
+        P4 and the sums without P1, d_1 is already a power of 2."""
+        pts, _ = euler_gram_points(Fraction(5, 3))
+        sums = [add(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4)]
+        calls = []
+
+        def recording(n, r):
+            result = _part(n, r)
+            calls.append((len(str(n)), len(str(result))))
+            return result
+
+        monkeypatch.setattr(biquad.heights, "_part", recording)
+        got = []
+        for p in pts + sums:
+            canonical_height(p)
+            got.append(calls[:])
+            calls.clear()
+        odd_start = [(62, 40), (40, 40), (57, 57), (40, 5), (57, 10)]
+        odd_sum = [(62, 40), (40, 40), (54, 54), (40, 5), (54, 7)]
+        two = [(62, 5)]
+        assert got == [odd_start, two, two, two, odd_sum, odd_sum, odd_sum, two, two, two]
+
     def test_169_digit_regulator_pinned(self):
-        """u = 1000003/7: four heights on a 13,000-digit full modulus; the
+        """u = 1000003/7: ten heights on a 13,000-digit full modulus; the
         strings were recorded with the full-modulus loop."""
         from biquad.families import euler_family_points, specialize_euler
 
@@ -304,7 +332,7 @@ class TestGcdPrecision:
             ["-0.000013999958", "-137.461988398940", "274.577403207600", "218.622215795159"],
             ["-110.524115463729", "-192.377476040527", "218.622215795159", "384.061804900516"],
         ]
-        assert rep["determinant"] == "185310944.589705139399"
+        assert rep["determinant"] == "185310944.589705318213"
         assert rep["error_bound"] == "4.678e-03"
 
 
@@ -481,6 +509,47 @@ class TestRegulator:
             "rank_lower_bound",
         }
         assert rep["rank_lower_bound"] == 2
+
+
+@st.composite
+def general_parameters(draw):
+    """Coprime (m, n) with m n (m + n) != 0, |m|, |n| <= 5000."""
+    m, n = draw(st.integers(-5000, 5000)), draw(st.integers(-5000, 5000))
+    assume(math.gcd(m, n) == 1 and m * n * (m + n) != 0)
+    return m, n
+
+
+class TestGramDiagonal:
+    """gram_matrix reads its diagonal as hhat(P) rather than through 2P:
+    the two agree because hhat(2P) = 4 hhat(P), which holds here within
+    the two heights' error bounds."""
+
+    @staticmethod
+    def check(p):
+        h, h2 = canonical_height(p), canonical_height(add(p, p))
+        assert abs(h2.value / 4 - h.value) <= h2.abs_error / 4 + h.abs_error, p
+
+    @settings(max_examples=40, deadline=None)
+    @given(euler_parameters())
+    def test_euler_points(self, u):
+        from biquad.families import euler_family_points, specialize_euler
+
+        for pt in euler_family_points():
+            self.check(specialize_euler(pt, u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(general_parameters())
+    def test_general_points(self, mn):
+        for p in family_curve_points(*mn):
+            self.check(p)
+
+    def test_diagonal_is_height(self):
+        pts, _ = euler_gram_points(Fraction(5, 3))
+        gm = gram_matrix(pts)
+        for i, p in enumerate(pts):
+            h = canonical_height(p)
+            assert gm.entries[i][i] == h.value
+            assert gm.entry_error >= h.abs_error
 
 
 class TestCurveConstants:
