@@ -43,11 +43,12 @@ squarefree divisors; elimination over GF(2) on the character bits of the
 generators -1, p_1, ... finds a basis of it, and no other divisor is
 visited.
 
-Residue sieve.  In the spaces left, each (d, u, v) is tested modulo a
-fixed list of small moduli before any square root is taken.  If
-d*u^4 + (B/d)*v^4 = h^2, then its residue mod m is h^2 mod m, a square
-mod m (0 included), so a solution passes every modulus: the sieve
-drops only non-squares.  Only the few survivors reach math.isqrt.
+Residue sieve.  Only coprime (u, v) are searched, by one mask per block of
+the box that all spaces share; each (d, u, v) kept is tested modulo small
+moduli before any square root.  A solution's residue mod m is h^2 mod m, a
+square (0 included), so the sieve drops only non-squares.  The first
+modulus m costs one add and one lookup per triple: d*u^4 mod m and
+(B/d)*v^4 mod m - m are tabulated, and a sum r < 0 reads entry r + m.
 """
 
 from __future__ import annotations
@@ -133,35 +134,33 @@ def _local_spaces(B: int, primes: list[int]) -> list[int]:
     return sorted(_subgroup(kernel))
 
 
-def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution]:
+def search_solutions(
+    B: int, height_bound: int, primes, *, _certified: bool = False
+) -> list[HomSpaceSolution]:
     """All solutions with coprime 0 <= u, 1 <= v, max(u, v) <= bound.
 
     d runs over the signed products of distinct primes, each of which must
     divide B; pass all primes of B to search every space.  u < 0
     duplicates u > 0 (fourth powers), so only u >= 0 is emitted.
     Deterministic order: |d| ascending, positive d before negative,
-    then u, then v.
+    then u, then v.  _certified=True skips re-testing primes from factorize.
 
-    Spaces that fail the local test hold no solution and are skipped.
-    In the others, every (d, u, v) goes through the residue sieve in
-    batches of rows (d, u) times a run of v, at most about _CHUNK triples
-    each, so memory is O(_CHUNK + bound), never O(bound^2); survivors of
-    the first modulus are pooled across batches for the rest.  Only what
-    passes every modulus gets the coprimality test and the exact square
-    root.
+    Spaces that fail the local test are skipped.  The sieve takes blocks
+    of all u by a run of v, about max(_CHUNK, bound) pairs, and groups of
+    spaces, about as many triples; memory is O(_CHUNK + S*bound) for S
+    spaces (the first modulus's tables), never O(bound^2).  Survivors of
+    the first modulus are pooled across groups for the rest.
     """
     if B == 0:
         raise ArithDomainError("B must be nonzero")
     # the local test at p is a Legendre symbol: p must be prime
-    if any(p < 2 or B % p or not arith.is_probable_prime(p) for p in primes):
+    if any(p < 2 or B % p or not (_certified or arith.is_probable_prime(p)) for p in primes):
         raise ArithDomainError(f"not all of {list(primes)} are primes dividing B = {B}")
     spaces = _local_spaces(B, sorted(set(primes)))
-    n = height_bound
-    if n == 0:
-        return []
-    cofactors = [B // d for d in spaces]
-    d_res = np.array([[d % m for d in spaces] for m in _MODULI], dtype=np.int64)
-    c_res = np.array([[c % m for c in cofactors] for m in _MODULI], dtype=np.int64)
+    n = max(height_bound, 0)  # a bound below 1 holds no (u, v)
+    S, cofactors = len(spaces), [B // d for d in spaces]
+    # column k is d_k modulo each modulus, column S + k its cofactor B/d_k
+    res = np.array([[x % m for x in spaces + cofactors] for m in _MODULI], dtype=np.int64)
     pow4 = np.arange(n + 1) % _MODS
     pow4 = pow4 * pow4 % _MODS
     pow4 = pow4 * pow4 % _MODS
@@ -169,44 +168,45 @@ def search_solutions(B: int, height_bound: int, primes) -> list[HomSpaceSolution
     found = []
 
     def finish(s, u, v):
-        """The remaining moduli, coprimality, then the exact check."""
+        """The remaining moduli, then the exact check."""
         for i in range(1, len(_MODULI)):
-            r = (d_res[i, s] * pow4[i, u] + c_res[i, s] * pow4[i, v]) % _MODULI[i]
+            r = (res[i, s] * pow4[i, u] + res[i, s + S] * pow4[i, v]) % _MODULI[i]
             keep = _squares(_MODULI[i])[r]
             s, u, v = s[keep], u[keep], v[keep]
-        keep = np.gcd(u, v) == 1
-        s, u, v = s[keep].tolist(), u[keep].tolist(), v[keep].tolist()
-        for k, x, y in zip(s, u, v):
-            d = spaces[k]
-            lhs = d * x**4 + cofactors[k] * y**4
+        for k, x, y in zip(s.tolist(), u.tolist(), v.tolist()):
+            lhs = spaces[k] * x**4 + cofactors[k] * y**4
             if lhs >= 0:
                 h = math.isqrt(lhs)
                 if h * h == lhs:
-                    found.append(HomSpaceSolution(d, x, y, h))
+                    found.append(HomSpaceSolution(spaces[k], x, y, h))
 
     m0, squares0 = _MODULI[0], _squares(_MODULI[0])
-    width = min(n, _CHUNK)
-    rows = max(1, _CHUNK // width)
-    n_rows = len(spaces) * (n + 1)  # row (s, u) is s * (n + 1) + u
+    u_term = (res[0, :S, None] * pow4[0] % m0)[:, :, None]
+    v_term = (res[0, S:, None] * pow4[0] % m0 - m0)[:, None, :]
+    # a common factor of u, v <= n (u = 0 included) has a prime factor <= n
+    sieve = np.ones(n + 1, dtype=bool)
+    for p in range(2, math.isqrt(n) + 1):
+        sieve[p * p :: p] = False
+    small_primes = np.flatnonzero(sieve)[2:]
+    width = max(1, _CHUNK // (n + 1))  # v per block
     pool, pooled = [], 0
-    for r0 in range(0, n_rows, rows):
-        s, u = np.divmod(np.arange(r0, min(r0 + rows, n_rows)), n + 1)
-        a = (d_res[0, s] * pow4[0, u] % m0)[:, None]
-        c = c_res[0, s][:, None]
-        for v0 in range(1, n + 1, width):
-            v = np.arange(v0, min(v0 + width, n + 1))
-            i, j = np.nonzero(squares0[(a + c * pow4[0, v]) % m0])
-            if not i.size:
-                continue
-            pool.append((s[i], u[i], v[j]))
-            pooled += i.size
+    for v0 in range(1, n + 1, width):
+        coprime = np.ones((n + 1, min(width, n + 1 - v0)), dtype=bool)
+        for p in small_primes[-v0 % small_primes < width].tolist():  # p | some v here
+            coprime[::p, -v0 % p :: p] = False
+        v_block, group = v_term[:, :, v0 : v0 + width], max(1, _CHUNK // coprime.size)
+        for s0 in range(0, S, group):
+            hit = squares0[u_term[s0 : s0 + group] + v_block[s0 : s0 + group]]
+            hit &= coprime
+            s, u, v = np.unravel_index(np.flatnonzero(hit), hit.shape)
+            pool.append((s + s0, u, v + v0))
+            pooled += s.size
             if pooled >= _CHUNK:
                 finish(*map(np.concatenate, zip(*pool)))
                 pool, pooled = [], 0
     if pooled:
         finish(*map(np.concatenate, zip(*pool)))
-    found.sort(key=lambda s: (abs(s.d), s.d < 0, s.u_val, s.v_val))
-    return found
+    return sorted(found, key=lambda s: (abs(s.d), s.d < 0, s.u_val, s.v_val))
 
 
 @dataclass
@@ -292,8 +292,8 @@ def rank_lower_bound(
     primes_e = sorted({p for part in parts for p in arith.factorize(part)})
     primes_e4 = sorted({2, *primes_e})
 
-    sols_e = search_solutions(b_e, height_bound, primes_e)
-    sols_e4 = search_solutions(b_e4, height_bound, primes_e4)
+    sols_e = search_solutions(b_e, height_bound, primes_e, _certified=True)
+    sols_e4 = search_solutions(b_e4, height_bound, primes_e4, _certified=True)
 
     # each solution's d is a signed squarefree divisor: its own class
     classes_e = {s.d for s in sols_e if s.h_val != 0} | {kernel_over(b_e, primes_e)}

@@ -322,7 +322,9 @@ def regulator_report(points) -> dict:
     return {
         "points": [p.to_json() for p in gm.points],
         "gram": [[f"{x:.12f}" for x in row] for row in gm.entries],
-        "determinant": f"{det:.12f}",
+        # a Gram determinant is >= 0; a float just below 0 is cancellation
+        # (max(0.0, -0.0) is 0.0, so no "-0" either)
+        "determinant": f"{max(0.0, det):.12f}",
         "error_bound": f"{max(err, gm.entry_error):.3e}",
         "threshold": f"{threshold:.3e}",
         "independent": bool(det > threshold),

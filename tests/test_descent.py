@@ -72,14 +72,18 @@ class TestSearch:
         st.integers(-3000, 3000).filter(lambda b: b != 0), st.integers(0, 6)
     )
     def test_matches_oracle_in_order(self, B, bound):
-        # every sign of d and B/d, so the early exit once d*u^4 + (B/d)*v^4 < 0
-        # is checked against a search that never leaves early
+        # every sign of d and B/d, so triples with d*u^4 + (B/d)*v^4 < 0, which
+        # only the exact check drops, are compared with a full search
         found = [
             (s.d, s.u_val, s.v_val, s.h_val)
             for s in search_solutions(B, bound, list(factorize(abs(B))))
         ]
         key = lambda t: (abs(t[0]), t[0] < 0, t[1], t[2])
         assert found == sorted(exhaustive_oracle(B, bound), key=key)
+
+    def test_bound_below_one_is_empty(self):
+        for bound in (0, -1, -5):
+            assert search_solutions(-17, bound, [17]) == []
 
     def test_degenerate_b_minus1(self):
         sols = search_solutions(-1, 1, [])
@@ -140,20 +144,46 @@ def b_and_primes(t):
     return sign * math.prod(p**e for p, e in factors.items()), sorted(factors)
 
 
+def divisor_oracle(B, primes, bound):
+    """Brute force over every signed divisor d of primes and coprime (u, v)."""
+    hits = set()
+    for d in signed_divisors(primes):
+        for u, v in itertools.product(range(0, bound + 1), range(1, bound + 1)):
+            if math.gcd(u, v) == 1:
+                lhs = d * u**4 + (B // d) * v**4
+                if lhs >= 0 and math.isqrt(lhs) ** 2 == lhs:
+                    hits.add((d, u, v, math.isqrt(lhs)))
+    return hits
+
+
 class TestPrunedSieve:
     @settings(max_examples=40, deadline=None)
     @given(factored_b, st.integers(0, 12), st.sampled_from([1, 7, 64]))
     @example((-1, {17: 1}), 12, 1)
     @example((1, {2: 2, 17: 1}), 12, 7)  # 68 = 4 * 17, the associated curve of N = 17
     @example((-1, {3: 2, 5: 1, 7: 1}), 12, 64)
+    @example((1, {2: 2, 17: 1}), 12, 39)  # (17, 0, 1, 2) solves; v blocks of 3, all u
     def test_chunked_search_matches_oracle(self, t, bound, chunk):
-        # chunk edges fall inside rows, between spaces and inside the pool
+        # chunk edges fall between runs of v, between groups of spaces and
+        # inside the pool
         B, primes = b_and_primes(t)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(descent, "_CHUNK", chunk)
             found = [(s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(B, bound, primes)]
         key = lambda t: (abs(t[0]), t[0] < 0, t[1], t[2])
         assert found == sorted(exhaustive_oracle(B, bound), key=key)
+
+    @pytest.mark.parametrize("N", [141262310897, 2701104520630058561])
+    def test_table_n_matches_divisor_oracle(self, N):
+        # table N of rank 8 with 32 and 64 spaces on both curves; the oracles
+        # above reach only |B| <= 5000 with a handful of spaces
+        primes = sorted(factorize(N))
+        for B, ps in ((-N, primes), (4 * N, sorted({2, *primes}))):
+            assert len(_local_spaces(B, ps)) >= 32
+            found = [(s.d, s.u_val, s.v_val, s.h_val) for s in search_solutions(B, 30, ps)]
+            key = lambda t: (abs(t[0]), t[0] < 0, t[1], t[2])
+            assert found == sorted(divisor_oracle(B, ps, 30), key=key)
+            assert len({t[0] for t in found if t[3]}) >= 4
 
     @settings(max_examples=60, deadline=None)
     @given(factored_b)

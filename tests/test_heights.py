@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import biquad.heights
 from biquad.arith import factorize
@@ -482,6 +482,16 @@ class TestRegulator:
         p = E17.point(-1, 4)
         rep = regulator_report([p, p])
         assert not rep["independent"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60))
+    @example(1, 1)  # theorem1 --m 1 --n 1 printed -0.000000000000
+    def test_printed_determinant_never_negative(self, m, n):
+        # dependent points give a determinant of 0 up to float cancellation
+        assume(math.gcd(m, n) == 1)
+        p1, p2 = family_curve_points(m, n)
+        for pts in ([p1, p2], [p1, p1], [p1, scalar_mul(2, p1)], [p2, scalar_mul(-3, p2)]):
+            assert not regulator_report(pts)["determinant"].startswith("-")
 
     def test_empty_rejected(self):
         with pytest.raises(HeightUsageError):
