@@ -3,8 +3,8 @@
 Every subcommand prints a single JSON document on stdout (integers as
 decimal strings), diagnostics go to stderr, and the exit code is 0 iff
 the status is ok.  Bad input gets a typed status and exit code 1; an
-argument outside a function's domain (such as ``descent --N 1`` or a
-negative ``--bound``) gives ``domain_error``.  A negative fraction must be
+argument outside a function's domain (such as ``descent --N 1``, or a
+``--bound`` below 0 or above 10^4) gives ``domain_error``.  A negative fraction must be
 joined to its flag, as in ``--u=-5/3``: argparse reads ``--u -5/3`` as a
 missing value and exits 2 with a usage error.  Negative integers such as
 ``--m -2`` parse either way.
@@ -33,9 +33,7 @@ from .descent import check_n, rank_lower_bound
 from .families import (
     DegenerateSpecializationError,
     euler_family_points,
-    euler_integral_model,
     euler_n,
-    euler_n_parts,
     general_family_points,
     identity_suite,
     specialize_euler,
@@ -112,14 +110,15 @@ def cmd_verify_identities(args) -> int:
     return _emit(payload, status, args.pretty)
 
 
-def _witness(args, curve: Curve, points: list[Point], rank: int, u=None) -> int:
+def _witness(
+    args, curve: Curve, points: list[Point], parts: list[int], rank: int, u=None
+) -> int:
     """Emit the rank witness of specialized family points on one curve.
 
-    theorem2 passes its parameter u, which adds "u" and "N_of_u" and
-    gives the descent N as its four family factors.
+    parts, N's factors from the specialization, feed the descent.
+    theorem2 passes its parameter u, which adds "u" and "N_of_u".
     """
     N = -curve.b
-    parts = None if u is None else euler_n_parts(u)
     descent = rank_lower_bound(N, args.bound, extra_points=points, parts=parts)
     reg = regulator_report(points)
     payload = {} if u is None else {"u": str(u)}
@@ -139,10 +138,10 @@ def _witness(args, curve: Curve, points: list[Point], rank: int, u=None) -> int:
 
 def cmd_theorem1(args) -> int:
     try:
-        points = [specialize_general(p, args.m, args.n) for p in general_family_points()]
+        curve, points, parts = specialize_general(general_family_points(), args.m, args.n)
     except DegenerateSpecializationError as exc:
         raise CliError("degenerate", str(exc)) from exc
-    return _witness(args, points[0].curve, points, 2)
+    return _witness(args, curve, points, parts, 2)
 
 
 def cmd_theorem2(args) -> int:
@@ -151,11 +150,10 @@ def cmd_theorem2(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("parse_error", f"bad rational {args.u!r}") from exc
     try:
-        curve = euler_integral_model(u)
-        points = [specialize_euler(p, u) for p in euler_family_points()]
+        curve, points, parts = specialize_euler(euler_family_points(), u)
     except DegenerateSpecializationError as exc:
         raise CliError("degenerate", str(exc)) from exc
-    return _witness(args, curve, points, 4, u)
+    return _witness(args, curve, points, parts, 4, u)
 
 
 def cmd_search(args) -> int:

@@ -69,6 +69,10 @@ from .curves import CurveUsageError, on_curve
 _MODULI = (262080, 81719, 33263, 82861, 190747)
 _MODS = np.array(_MODULI, dtype=np.int64)[:, None]  # a column, to broadcast
 _CHUNK = 2**13  # (d, u, v) triples per pass of the sieve
+# The largest height bound searched.  The first modulus's tables hold
+# 5 + 2S rows of bound + 1 int64 for S spaces: at this cap, 0.4 MB plus
+# 0.16 MB per space.
+MAX_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,8 @@ def search_solutions(
     """All solutions with coprime 0 <= u, 1 <= v, max(u, v) <= bound.
 
     d runs over the signed products of distinct primes, each of which must
-    divide B; pass all primes of B to search every space.  u < 0
+    divide B; pass all primes of B to search every space.  A bound above
+    MAX_BOUND is a domain error.  u < 0
     duplicates u > 0 (fourth powers), so only u >= 0 is emitted.
     Deterministic order: |d| ascending, positive d before negative,
     then u, then v.  _certified=True skips re-testing primes from factorize.
@@ -153,6 +158,8 @@ def search_solutions(
     """
     if B == 0:
         raise ArithDomainError("B must be nonzero")
+    if height_bound > MAX_BOUND:
+        raise ArithDomainError(f"height bound {height_bound} exceeds {MAX_BOUND}")
     # the local test at p is a Legendre symbol: p must be prime
     if any(p < 2 or B % p or not (_certified or arith.is_probable_prime(p)) for p in primes):
         raise ArithDomainError(f"not all of {list(primes)} are primes dividing B = {B}")

@@ -19,13 +19,17 @@ the Euler curve.  Every identity is then an exact equality of
 polynomials: on the curve y^2 = x^3 + b*x*z^4 with b = -N, or b = 4N on
 the associated curve, and two x-coordinates agree iff x*z'^2 = x'*z^2.
 
-Specialization evaluates the forms at integers.  At u = p/q in lowest
-terms that is the point (p, q): N(p, q) = q^28 N(u) is the integral
-model, and the point lands on it with no rescaling.
+Specialization evaluates the forms at integers in one pass per
+parameter: it decides degeneracy, evaluates N's factors (f1..f4, or
+m^4 + n^4), builds the curve from their product, evaluates each point's
+forms onto it, and returns the curve, the points and the factors.  At
+u = p/q in lowest terms that is the point (p, q): N(p, q) = q^28 N(u) is
+the integral model, and the points land on it with no rescaling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -36,6 +40,8 @@ from .poly import BinaryForm, PolyUsageError
 
 UW = ("u", "w")
 MN = ("m", "n")
+U, W = BinaryForm.var(UW, "u"), BinaryForm.var(UW, "w")
+M, N = BinaryForm.var(MN, "m"), BinaryForm.var(MN, "n")  # N: the variable n
 
 
 class DegenerateSpecializationError(ArithDomainError):
@@ -61,28 +67,34 @@ class ParametricPoint:
 # ---------------------------------------------------------------------------
 
 
+# Euler's quadruple: four forms of degree 7 with A^4 + B^4 = C^4 + D^4
+A = BinaryForm(UW, [0, 1, 3, -2, 0, 1, 0, 1])
+B = BinaryForm(UW, [1, 0, 1, 0, -2, -3, 1, 0])
+C = BinaryForm(UW, [0, 1, -3, -2, 0, 1, 0, 1])
+D = BinaryForm(UW, [1, 0, 1, 0, -2, 3, 1, 0])
+# the even factors of N = A^4 + B^4, of degrees 4, 8, 8, 8
+F1 = BinaryForm(UW, [1, 0, 6, 0, 1])
+F2 = BinaryForm(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
+F3 = BinaryForm(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
+F4 = BinaryForm(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
+# the forms of degrees 10 and 6 in the points Q2 and P1
+T10 = BinaryForm(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
+Y1FAC = BinaryForm(UW, [-5, 0, 4, 0, 1, 0, 1])
+
+
 def euler_quadruple() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
     """The four forms of degree 7 with A^4 + B^4 = C^4 + D^4."""
-    a = BinaryForm(UW, [0, 1, 3, -2, 0, 1, 0, 1])
-    b = BinaryForm(UW, [1, 0, 1, 0, -2, -3, 1, 0])
-    c = BinaryForm(UW, [0, 1, -3, -2, 0, 1, 0, 1])
-    d = BinaryForm(UW, [1, 0, 1, 0, -2, 3, 1, 0])
-    return a, b, c, d
+    return A, B, C, D
 
 
 def euler_n_factors() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
     """The four even factors f1..f4 of N = A^4 + B^4."""
-    f1 = BinaryForm(UW, [1, 0, 6, 0, 1])
-    f2 = BinaryForm(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
-    f3 = BinaryForm(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
-    f4 = BinaryForm(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
-    return f1, f2, f3, f4
+    return F1, F2, F3, F4
 
 
 @cache
 def euler_n_poly() -> BinaryForm:
-    f1, f2, f3, f4 = euler_n_factors()
-    return f1 * f2 * f3 * f4
+    return F1 * F2 * F3 * F4
 
 
 def euler_n(u) -> Fraction:
@@ -104,12 +116,10 @@ def general_n_poly() -> BinaryForm:
 @cache
 def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
     """P1 = (-n^2, m^2 n) and the transferred point P2 on y^2 = x^3 - (m^4+n^4)x."""
-    m = BinaryForm.var(MN, "m")
-    n = BinaryForm.var(MN, "n")
-    p1 = ParametricPoint(-(n**2), m**2 * n, BinaryForm.const(MN, 1))
-    s = m**2 + m * n + n**2
-    p2y = m * n * s * (2 * m**2 + 3 * m * n + 2 * n**2)
-    p2 = ParametricPoint(s**2, p2y, m + n)
+    p1 = ParametricPoint(-(N**2), M**2 * N, BinaryForm.const(MN, 1))
+    s = M**2 + M * N + N**2
+    p2y = M * N * s * (2 * M**2 + 3 * M * N + 2 * N**2)
+    p2 = ParametricPoint(s**2, p2y, M + N)
     return p1, p2
 
 
@@ -118,23 +128,12 @@ def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _euler_building_blocks():
-    """A, B, f1..f4, and the forms t10 and y1fac of degrees 10 and 6."""
-    a, b, _, _ = euler_quadruple()
-    t10 = BinaryForm(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
-    y1fac = BinaryForm(UW, [-5, 0, 4, 0, 1, 0, 1])
-    return a, b, *euler_n_factors(), t10, y1fac
-
-
 def euler_associated_points() -> tuple[ParametricPoint, ParametricPoint]:
     """Q1, Q2 on the associated curve y^2 = x^3 + 4*N*x."""
-    a, b, f1, f2, f3, f4, t10, _ = _euler_building_blocks()
-    u = BinaryForm.var(UW, "u")
-    w = BinaryForm.var(UW, "w")
-    h = a + b
+    h = A + B
     one = BinaryForm.const(UW, 1)
-    q1 = ParametricPoint(2 * h**2, 4 * h * (a**2 + a * b + b**2), one)
-    q2 = ParametricPoint(4 * u**2 * f2 * f3, 4 * u * f2 * f3 * t10, w**2)
+    q1 = ParametricPoint(2 * h**2, 4 * h * (A**2 + A * B + B**2), one)
+    q2 = ParametricPoint(4 * U**2 * F2 * F3, 4 * U * F2 * F3 * T10, W**2)
     return q1, q2
 
 
@@ -156,24 +155,18 @@ def euler_family_points() -> tuple[ParametricPoint, ...]:
     The first two come from quartic-space solutions on the curve itself;
     the last two are the symbolic transfers of Q2 and Q1.
     """
-    a, b, f1, f2, f3, f4, t10, y1fac = _euler_building_blocks()
-    u = BinaryForm.var(UW, "u")
-    w = BinaryForm.var(UW, "w")
-    p1 = ParametricPoint(f2 * f4, u**2 * y1fac * f2 * f4, w)
-    p2 = ParametricPoint(-(a**2), a * b**2, BinaryForm.const(UW, 1))
+    p1 = ParametricPoint(F2 * F4, U**2 * Y1FAC * F2 * F4, W)
+    p2 = ParametricPoint(-(A**2), A * B**2, BinaryForm.const(UW, 1))
     q1, q2 = euler_associated_points()
-    n = euler_n_poly()
-    return p1, p2, transfer_parametric(q2, n), transfer_parametric(q1, n)
+    en = euler_n_poly()
+    return p1, p2, transfer_parametric(q2, en), transfer_parametric(q1, en)
 
 
 def printed_transfer_x() -> tuple[tuple[BinaryForm, BinaryForm], ...]:
     """The closed-form x-coordinates t10^2/(2u*w^2)^2 and
     (A^2 + AB + B^2)^2/(A + B)^2 of the two transferred points, each as a
     pair (x, z) standing for x/z^2."""
-    a, b, _, _, _, _, t10, _ = _euler_building_blocks()
-    u = BinaryForm.var(UW, "u")
-    w = BinaryForm.var(UW, "w")
-    return (t10**2, 2 * u * w**2), ((a**2 + a * b + b**2) ** 2, a + b)
+    return (T10**2, 2 * U * W**2), ((A**2 + A * B + B**2) ** 2, A + B)
 
 
 def same_x(pt: ParametricPoint, x: BinaryForm, z: BinaryForm) -> bool:
@@ -195,26 +188,34 @@ def verify_parametric_point(pt: ParametricPoint, b: BinaryForm) -> bool:
 
 
 def _specialize(
-    pt: ParametricPoint, n_form: BinaryForm, s: int, t: int, where: str
-) -> Point:
-    """The point (X/Z^2, Y/Z^3) on y^2 = x^3 - N*x, all four forms at (s, t)."""
-    Z = pt.z.evaluate(s, t)
-    if Z == 0:
-        raise DegenerateSpecializationError(f"denominator vanishes at {where}")
-    X, Y = pt.x.evaluate(s, t), pt.y.evaluate(s, t)
-    return Curve(-n_form.evaluate(s, t)).point(Fraction(X, Z * Z), Fraction(Y, Z**3))
+    points, parts: list[int], s: int, t: int, where: str
+) -> tuple[Curve, list[Point], list[int]]:
+    """The curve y^2 = x^3 - N*x with N = prod(parts), and each point's
+    forms at (s, t) on it as (X/Z^2, Y/Z^3)."""
+    curve = Curve(-math.prod(parts))
+    specialized = []
+    for pt in points:
+        Z = pt.z.evaluate(s, t)
+        if Z == 0:
+            raise DegenerateSpecializationError(f"denominator vanishes at {where}")
+        X, Y = pt.x.evaluate(s, t), pt.y.evaluate(s, t)
+        specialized.append(curve.point(Fraction(X, Z * Z), Fraction(Y, Z**3)))
+    return curve, specialized, parts
 
 
-def specialize_general(pt: ParametricPoint, m: int, n: int) -> Point:
-    """Substitute integers (m, n); an exact point on y^2 = x^3 - (m^4+n^4)x.
+def specialize_general(points, m: int, n: int) -> tuple[Curve, list[Point], list[int]]:
+    """Substitute integers (m, n) into the points in one pass.
 
-    At m*n = 0 both family points are 2-torsion, so that is degenerate.
+    Returns the curve y^2 = x^3 - (m^4+n^4)x, the exact points on it, and
+    [m^4 + n^4] as N's parts.  At m*n = 0 both family points are
+    2-torsion, so that is degenerate.
     """
     if m * n == 0:
         raise DegenerateSpecializationError(
             f"(m, n) = ({m}, {n}) is degenerate: m*n = 0"
         )
-    return _specialize(pt, general_n_poly(), m, n, f"(m, n) = ({m}, {n})")
+    parts = [general_n_poly().evaluate(m, n)]
+    return _specialize(points, parts, m, n, f"(m, n) = ({m}, {n})")
 
 
 def euler_degenerate(u) -> str | None:
@@ -232,35 +233,26 @@ def euler_degenerate(u) -> str | None:
     u = Fraction(u)
     if u in (0, 1, -1):
         return f"u = {u} is degenerate"
-    a, b, c, d = (f.evaluate(u.numerator, u.denominator) for f in euler_quadruple())
+    a, b, c, d = (f.evaluate(u.numerator, u.denominator) for f in (A, B, C, D))
     if {abs(a), abs(b)} == {abs(c), abs(d)}:
         return f"the two representations coincide at u = {u}"
     return None
 
 
-def _euler_pq(u: Fraction) -> tuple[int, int]:
-    """(p, q) for a non-degenerate u = p/q in lowest terms."""
+def specialize_euler(points, u) -> tuple[Curve, list[Point], list[int]]:
+    """Substitute u = p/q, in lowest terms, into the points in one pass.
+
+    Returns the integral model y^2 = x^3 - N(p, q)*x, the points on it
+    (the forms at (p, q), with no rescaling), and f1..f4 at (p, q):
+    positive integers with product N(p, q).
+    """
+    u = Fraction(u)
     reason = euler_degenerate(u)
     if reason is not None:
         raise DegenerateSpecializationError(reason)
-    return u.numerator, u.denominator
-
-
-def euler_n_parts(u) -> list[int]:
-    """f1..f4 at (p, q) for u = p/q: positive integers with product N(p, q)."""
-    pq = _euler_pq(Fraction(u))
-    return [f.evaluate(*pq) for f in euler_n_factors()]
-
-
-def euler_integral_model(u) -> Curve:
-    """The curve y^2 = x^3 - N(p, q)*x for u = p/q in lowest terms."""
-    return Curve(-euler_n_poly().evaluate(*_euler_pq(Fraction(u))))
-
-
-def specialize_euler(pt: ParametricPoint, u) -> Point:
-    """Substitute u = p/q; the point lands on the integral model at (p, q)."""
-    u = Fraction(u)
-    return _specialize(pt, euler_n_poly(), *_euler_pq(u), f"u = {u}")
+    p, q = u.numerator, u.denominator
+    parts = [f.evaluate(p, q) for f in euler_n_factors()]
+    return _specialize(points, parts, p, q, f"u = {u}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +267,25 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     which must break the quadruple balance (negative-control hook for the
     CLI); the points and the quartic spaces keep the true quadruple.
     """
-    a, b, c, d = euler_quadruple()
-    if mutate:
-        a = a + BinaryForm(UW, [0] * 7 + [1])
+    a = A + BinaryForm(UW, [0] * 7 + [1]) if mutate else A
     results = []
-    results.append(("euler-quadruple-balance", a**4 + b**4 == c**4 + d**4))
+    results.append(("euler-quadruple-balance", a**4 + B**4 == C**4 + D**4))
     results.append(
-        ("euler-quadruple-homogeneous-deg7", all(p.degree == 7 for p in (a, b, c, d)))
+        ("euler-quadruple-homogeneous-deg7", all(p.degree == 7 for p in (a, B, C, D)))
     )
-    n = euler_n_poly()
-    results.append(("euler-n-equals-a4-plus-b4", n == a**4 + b**4))
-    results.append(("euler-n-equals-c4-plus-d4", n == c**4 + d**4))
+    en = euler_n_poly()
+    results.append(("euler-n-equals-a4-plus-b4", en == a**4 + B**4))
+    results.append(("euler-n-equals-c4-plus-d4", en == C**4 + D**4))
 
-    m = BinaryForm.var(MN, "m")
-    nn = BinaryForm.var(MN, "n")
     gn = general_n_poly()
     results.append(
-        ("general-space-d-minus1", -(nn**4) + gn == (m**2) ** 2)
+        ("general-space-d-minus1", -(N**4) + gn == (M**2) ** 2)
     )
     results.append(
         (
             "general-space-d2-associated",
-            2 * (m + nn) ** 4 + 2 * gn
-            == (2 * (m**2 + nn**2 + m * nn)) ** 2,
+            2 * (M + N) ** 4 + 2 * gn
+            == (2 * (M**2 + N**2 + M * N)) ** 2,
         )
     )
     p1g, p2g = general_family_points()
@@ -305,13 +293,13 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     results.append(("general-p2-on-curve", verify_parametric_point(p2g, -gn)))
 
     p1, p2, p3, p4 = euler_family_points()
-    results.append(("euler-p1-on-curve", verify_parametric_point(p1, -n)))
-    results.append(("euler-p2-on-curve", verify_parametric_point(p2, -n)))
-    results.append(("euler-p3-on-curve", verify_parametric_point(p3, -n)))
-    results.append(("euler-p4-on-curve", verify_parametric_point(p4, -n)))
+    results.append(("euler-p1-on-curve", verify_parametric_point(p1, -en)))
+    results.append(("euler-p2-on-curve", verify_parametric_point(p2, -en)))
+    results.append(("euler-p3-on-curve", verify_parametric_point(p3, -en)))
+    results.append(("euler-p4-on-curve", verify_parametric_point(p4, -en)))
     q1, q2 = euler_associated_points()
-    results.append(("euler-q1-on-associated", verify_parametric_point(q1, 4 * n)))
-    results.append(("euler-q2-on-associated", verify_parametric_point(q2, 4 * n)))
+    results.append(("euler-q1-on-associated", verify_parametric_point(q1, 4 * en)))
+    results.append(("euler-q2-on-associated", verify_parametric_point(q2, 4 * en)))
     x3, x4 = printed_transfer_x()
     results.append(("transfer-q2-gives-x3", same_x(p3, *x3)))
     results.append(("transfer-q1-gives-x4", same_x(p4, *x4)))
@@ -319,23 +307,20 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     # quartic-space left sides on the Euler curve and its associate are
     # exact squares of integer forms (the H of each solution); the gaps in
     # degree are padded with powers of w
-    a, b, f1, f2, f3, f4, t10, y1fac = _euler_building_blocks()
-    u = BinaryForm.var(UW, "u")
-    w = BinaryForm.var(UW, "w")
     results.append(
-        ("euler-space-d-f2f4", f2 * f4 - w**4 * f1 * f3 == (u**2 * y1fac) ** 2)
+        ("euler-space-d-f2f4", F2 * F4 - W**4 * F1 * F3 == (U**2 * Y1FAC) ** 2)
     )
-    results.append(("euler-space-d-minus1", -(a**4) + n == (b**2) ** 2))
+    results.append(("euler-space-d-minus1", -(A**4) + en == (B**2) ** 2))
     results.append(
         (
             "euler-space-d2-associated",
-            2 * (a + b) ** 4 + 2 * n == (2 * (a**2 + a * b + b**2)) ** 2,
+            2 * (A + B) ** 4 + 2 * en == (2 * (A**2 + A * B + B**2)) ** 2,
         )
     )
     results.append(
         (
             "euler-space-d4f2f3-associated",
-            4 * u**4 * f2 * f3 + w**8 * f1 * f4 == t10**2,
+            4 * U**4 * F2 * F3 + W**8 * F1 * F4 == T10**2,
         )
     )
     return results

@@ -237,7 +237,7 @@ def canonical_height(p: Point) -> HeightValue:
 
     Returns 0 exactly for the identity and for torsion points.  The
     reported abs_error is both geometric tail bounds plus 1e-20*max(1, |h|),
-    a term below float64 rounding, so roundoff is not yet covered (ROADMAP item 5).
+    a term below float64 rounding, so roundoff is not yet covered ([ROUNDOFF]).
     """
     if p.is_identity or _is_torsion(p):
         return HeightValue(0.0, 0.0)

@@ -30,8 +30,8 @@ def euler_parts_oracle(p, q):
 
 def family_curve_points(m, n):
     """The two specialized generators on y^2 = x^3 - (m^4+n^4)x."""
-    p1_sym, p2_sym = general_family_points()
-    return specialize_general(p1_sym, m, n), specialize_general(p2_sym, m, n)
+    _, points, _ = specialize_general(general_family_points(), m, n)
+    return tuple(points)
 
 
 def random_family_point(rng: random.Random, max_param=6, max_coeff=2):

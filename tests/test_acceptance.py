@@ -72,11 +72,10 @@ def test_criterion_2_theorem2_symbolic():
 
 def test_criterion_3_specialization_fidelity():
     t0 = time.monotonic()
-    p1s, p2s = general_family_points()
-    p1 = specialize_general(p1s, 2, 1)
-    p2 = specialize_general(p2s, 2, 1)
+    curve, (p1, p2), parts = specialize_general(general_family_points(), 2, 1)
     ok = (
-        p1.curve == Curve(-17)
+        curve == Curve(-17)
+        and parts == [17]
         and (p1.x, p1.y) == (-1, 4)
         and (p2.x, p2.y) == (Fraction(49, 9), Fraction(224, 27))
     )
@@ -86,12 +85,11 @@ def test_criterion_3_specialization_fidelity():
         (Fraction(1766241, 16), Fraction(2285325807, 64)),
         (Fraction(365689129, 9801), Fraction(5156125463944, 970299)),
     ]
-    for p_sym, (ex, ey) in zip(euler_family_points(), expected):
-        q = specialize_euler(p_sym, 2)
-        ok = ok and q.curve.b == -635318657 and q.x == ex and abs(q.y) == ey
-    qx3 = specialize_euler(euler_family_points()[2], 2).x
-    qx4 = specialize_euler(euler_family_points()[3], 2).x
-    ok = ok and qx3.denominator == 16 and qx4.denominator == 9801
+    curve, qs, _ = specialize_euler(euler_family_points(), 2)
+    ok = ok and curve.b == -635318657
+    for q, (ex, ey) in zip(qs, expected):
+        ok = ok and q.curve == curve and q.x == ex and abs(q.y) == ey
+    ok = ok and qs[2].x.denominator == 16 and qs[3].x.denominator == 9801
     _report("criterion-3 specialization fidelity", ok, time.monotonic() - t0, 10)
 
 
@@ -99,7 +97,7 @@ def test_criterion_4_independence_witnesses():
     t0 = time.monotonic()
     rep2 = regulator_report(list(family_curve_points(2, 1)))
     t1 = time.monotonic()
-    pts = [specialize_euler(p, 2) for p in euler_family_points()]
+    _, pts, _ = specialize_euler(euler_family_points(), 2)
     rep4 = regulator_report(pts)
     t2 = time.monotonic()
     ok = (

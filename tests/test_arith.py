@@ -16,7 +16,7 @@ from biquad.arith import (
     is_probable_prime,
     kernel_over,
 )
-from biquad.families import euler_degenerate, euler_integral_model, euler_n_parts
+from biquad.families import euler_degenerate, euler_family_points, specialize_euler
 from conftest import squarefree_part
 
 
@@ -176,8 +176,8 @@ class TestEulerSplit:
         assume(math.gcd(p, q) == 1)
         u = Fraction(p, q)
         assume(euler_degenerate(u) is None)
-        parts = euler_n_parts(u)
-        n = -euler_integral_model(u).b
+        curve, _, parts = specialize_euler(euler_family_points(), u)
+        n = -curve.b
         assert math.prod(parts) == n
         assert {r for part in parts for r in factorize(part)} == set(sympy.factorint(n))
 

@@ -9,6 +9,8 @@ import pytest
 
 import biquad.arith
 import biquad.cli
+import biquad.descent
+import biquad.families
 import biquad.heights
 from biquad.cli import main
 from biquad.curves import Curve, on_curve
@@ -325,6 +327,40 @@ def test_factorizes_n_once(capsys, monkeypatch, argv):
         parts = euler_parts_oracle(u.numerator, u.denominator)
         assert sorted(calls) == sorted(parts)
         assert math.prod(parts) == int(doc["N"])
+
+
+def test_theorem2_specializes_once(capsys, monkeypatch):
+    """One theorem2 call decides degeneracy once and builds one curve."""
+    calls = {"euler_degenerate": 0, "Curve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        fn = getattr(biquad.families, name)
+        monkeypatch.setattr(biquad.families, name, counting(name, fn))
+    code, _ = run_cli(capsys, "theorem2", "--u", "5/3")
+    assert code == 0
+    assert calls == {"euler_degenerate": 1, "Curve": 1}
+
+
+def test_oversized_bound_rejected_before_search():
+    """A bound above the cap is a domain error before any search table is
+    built: the tables grow with the bound (4 GB for one of them at 10^8)."""
+    argv = ["theorem1", "--m", "1", "--n", "2", f"--bound={biquad.descent.MAX_BOUND + 1}"]
+    r = subprocess.run(
+        [sys.executable, "-m", "biquad.cli", *argv],
+        cwd=Path(__file__).resolve().parent.parent / "src",
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert r.returncode == 1, r.stderr[-2000:]
+    assert json.loads(r.stdout)["status"] == "domain_error"
 
 
 @pytest.mark.parametrize("u", ["1000", "1000003/7"])

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,8 @@ from biquad.families import (
     euler_associated_points,
     euler_degenerate,
     euler_family_points,
-    euler_integral_model,
     euler_n,
     euler_n_factors,
-    euler_n_parts,
     euler_n_poly,
     euler_quadruple,
     general_family_points,
@@ -27,6 +26,7 @@ from biquad.families import (
     verify_parametric_point,
 )
 from biquad.poly import BinaryForm, PolyUsageError
+from conftest import euler_parts_oracle
 
 UW = ("u", "w")
 
@@ -98,7 +98,7 @@ class TestEulerN:
 
     def test_parts_degenerate_rejected(self):
         with pytest.raises(DegenerateSpecializationError):
-            euler_n_parts(1)
+            specialize_euler(euler_family_points(), 1)
 
 
 class TestGeneralFamily:
@@ -109,23 +109,22 @@ class TestGeneralFamily:
         assert verify_parametric_point(p2, -n)
 
     def test_specialize_2_1(self):
-        p1, p2 = general_family_points()
-        q1 = specialize_general(p1, 2, 1)
-        q2 = specialize_general(p2, 2, 1)
-        assert q1.curve == Curve(-17)
+        curve, (q1, q2), parts = specialize_general(general_family_points(), 2, 1)
+        assert curve == Curve(-17) == q1.curve == q2.curve
+        assert parts == [17]
         assert (q1.x, q1.y) == (Fraction(-1), Fraction(4))
         assert (q2.x, q2.y) == (Fraction(49, 9), Fraction(224, 27))
 
     def test_specialize_1_1(self):
         p1, _ = general_family_points()
-        q = specialize_general(p1, 1, 1)
-        assert q.curve.b == -2
+        curve, [q], _ = specialize_general([p1], 1, 1)
+        assert curve.b == q.curve.b == -2
         assert (q.x, q.y) == (-1, 1)
 
     def test_degenerate_m_plus_n_zero(self):
         _, p2 = general_family_points()
         with pytest.raises(DegenerateSpecializationError):
-            specialize_general(p2, 1, -1)
+            specialize_general([p2], 1, -1)
 
     def test_p2_x_is_a_square(self):
         _, p2 = general_family_points()
@@ -162,9 +161,10 @@ class TestEulerFamilyPoints:
             (Fraction(1766241, 16), Fraction(2285325807, 64)),
             (Fraction(365689129, 9801), Fraction(5156125463944, 970299)),
         ]
-        for p, (ex, ey) in zip(euler_family_points(), expected):
-            q = specialize_euler(p, 2)
-            assert q.curve.b == -635318657
+        curve, qs, _ = specialize_euler(euler_family_points(), 2)
+        assert curve.b == -635318657
+        for q, (ex, ey) in zip(qs, expected, strict=True):
+            assert q.curve == curve
             assert q.x == ex
             assert abs(q.y) == ey  # y-sign is a curve automorphism
 
@@ -188,16 +188,15 @@ class TestEulerFamilyPoints:
             u = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             if euler_degenerate(u) is not None:
                 continue
-            curve = euler_integral_model(u)
-            for p in pts:
-                q = specialize_euler(p, u)
+            curve, qs, _ = specialize_euler(pts, u)
+            for q in qs:
                 assert on_curve(curve, q)
             done += 1
 
     def test_degenerate_u(self):
         for u in (0, 1, -1):
             with pytest.raises(DegenerateSpecializationError):
-                euler_integral_model(u)
+                specialize_euler(euler_family_points(), u)
 
 
 def _reference_specialize(pt: ParametricPoint, u: Fraction):
@@ -223,9 +222,10 @@ class TestEulerIntegralModel:
     def test_matches_rescaled_rational_evaluation(self, rng):
         pts = euler_family_points()
         for u in _non_degenerate_u(rng, 200):
-            curve = euler_integral_model(u)
-            for p in pts:
-                q = specialize_euler(p, u)
+            curve, qs, parts = specialize_euler(pts, u)
+            assert parts == euler_parts_oracle(u.numerator, u.denominator)
+            assert math.prod(parts) == -curve.b
+            for p, q in zip(pts, qs, strict=True):
                 assert q.curve == curve
                 assert (q.curve.b, q.x, q.y) == _reference_specialize(p, u)
 
@@ -234,8 +234,9 @@ class TestEulerIntegralModel:
         g1, g2 = general_family_points()
         for u in _non_degenerate_u(rng, 40):
             a, b, _, _ = (f.evaluate(u.numerator, u.denominator) for f in euler_quadruple())
-            assert specialize_euler(p2, u) == specialize_general(g1, b, a)
-            assert specialize_euler(p4, u) == specialize_general(g2, b, a)
+            _, euler_points, _ = specialize_euler([p2, p4], u)
+            _, general_points, _ = specialize_general([g1, g2], b, a)
+            assert euler_points == general_points
 
 
 class TestVerifyParametricPoint:
@@ -261,7 +262,7 @@ class TestParametricPoint:
         w = BinaryForm.var(UW, "w")
         pt = ParametricPoint(u, u, u - 2 * w)
         with pytest.raises(DegenerateSpecializationError, match="vanishes at u = 2"):
-            specialize_euler(pt, 2)
+            specialize_euler([pt], 2)
 
 
 class TestIdentitySuite:

@@ -195,7 +195,7 @@ def euler_gram_points(u):
     points whose heights make up the Gram matrix."""
     from biquad.families import euler_family_points, specialize_euler
 
-    pts = [specialize_euler(pt, u) for pt in euler_family_points()]
+    _, pts, _ = specialize_euler(euler_family_points(), u)
     sums = [add(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))]
     return pts, sums
 
@@ -323,8 +323,8 @@ class TestGcdPrecision:
         from biquad.families import euler_family_points, specialize_euler
 
         u = Fraction(1000003, 7)
-        pts = [specialize_euler(pt, u) for pt in euler_family_points()]
-        assert len(str(-pts[0].curve.b)) == 169
+        curve, pts, _ = specialize_euler(euler_family_points(), u)
+        assert len(str(-curve.b)) == 169
         rep = regulator_report(pts)
         assert rep["gram"] == [
             ["110.524108463750", "82.893088347787", "-0.000013999958", "-110.524115463729"],
@@ -467,7 +467,7 @@ class TestRegulator:
     def test_rank4_witness(self):
         from biquad.families import euler_family_points, specialize_euler
 
-        pts = [specialize_euler(p, 2) for p in euler_family_points()]
+        _, pts, _ = specialize_euler(euler_family_points(), 2)
         rep = regulator_report(pts)
         assert float(rep["determinant"]) > 0.05
         assert float(rep["error_bound"]) < 0.01
@@ -544,8 +544,9 @@ class TestGramDiagonal:
     def test_euler_points(self, u):
         from biquad.families import euler_family_points, specialize_euler
 
-        for pt in euler_family_points():
-            self.check(specialize_euler(pt, u))
+        _, pts, _ = specialize_euler(euler_family_points(), u)
+        for p in pts:
+            self.check(p)
 
     @settings(max_examples=100, deadline=None)
     @given(general_parameters())
