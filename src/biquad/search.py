@@ -53,8 +53,10 @@ class TwinRecord:
 
 
 # Pairs per value window of twin_search. A window's int64 work arrays
-# take tens of MB, whatever the limit.
-_WINDOW = 2**20
+# take a few MB each, whatever the limit. Smaller windows sort faster in
+# cache, but every window also costs O(limit) work, which outweighs that
+# gain at limit 40540 below 2^19 pairs.
+_WINDOW = 2**19
 
 
 def _iroot4(x):
@@ -76,17 +78,34 @@ def _iroot4(x):
 def twin_search(limit: int) -> list[TwinRecord]:
     """All N = a^4 + b^4 with two or more representations, b <= limit.
 
+    Only the admissible pairs, those where neither 2 nor 3 divides both
+    a and b (2/3 of all pairs), are built; the other twins follow from a
+    lemma. If p = 2 or 3 divides both entries of one representation of
+    N, it divides both entries of every one: p^4 | N, while c^4 + d^4 is
+    1 or 2 (mod 16) when c and d are not both even, and 1 or 2 (mod 3)
+    when they are not both divisible by 3. So each twin at this limit is
+    k^4 n', with k {2,3}-smooth and n' a twin among the admissible
+    pairs, and the representations of k^4 n' are exactly the (k a, k b)
+    for the representations (a, b) of n' with k b <= limit. Primes with
+    -1 not a fourth power modulo them, such as 5 and 7, obey the lemma
+    too, but each would leave out only 1/p^2 of the pairs. No prime
+    p = 1 (mod 8) may join: 2^4 = -1 (mod 17), and 17 divides both
+    entries of 18292^4 + 45883^4 = 10757^4 + 46136^4 but neither of the
+    other.
+
     The values 2 .. 2*limit^4 are cut into windows [lo, hi) of equal
     width in sqrt(value), which hold similar numbers of pairs because
     the pair count below X grows like sqrt(X). In each window the b
     range of every a comes from an integer fourth root (Bernstein,
     "Enumerating solutions to p(a)+q(b)=r(c)+s(d)", Math. Comp. 70,
-    2001), and the window's values are built, sorted and checked for
-    repeats in numpy, so memory is O(_WINDOW) rather than O(limit^2).
-    The representations of a repeated value n are the a <= b with
-    n - a^4 a fourth power. Everything is int64, which holds every
-    a^4 + b^4 for limit <= 46340; larger limits are rejected. Records
-    come in ascending N, and their representations in ascending a.
+    2001) and is one slice of its class in _pair_runs. The window's
+    values are built, sorted and checked for repeats in numpy, so memory
+    is O(_WINDOW) rather than O(limit^2). The representations of a
+    repeated value n' are the a <= b with n' - a^4 a fourth power; those
+    of its scaled copies are multiplied out from them, with no second
+    search. Everything is int64, which holds every a^4 + b^4 for
+    limit <= 46340; larger limits are rejected. Records come in
+    ascending N, and their representations in ascending a.
     """
     if limit < 2:
         raise ArithDomainError("limit must be at least 2")
@@ -94,26 +113,69 @@ def twin_search(limit: int) -> list[TwinRecord]:
         raise ArithDomainError("limit must be at most 46340 (int64 range)")
     fourths = np.arange(limit + 1, dtype=np.int64) ** 4
     a4 = fourths[1:]
-    pairs = limit * (limit + 1) // 2
+    below = np.arange(limit, dtype=np.int64)  # a - 1: each a pairs with b > a - 1
+    runs, rank, row = _pair_runs(limit)
+    start = rank[row + below]  # for each a, the runs index of its next b
+    pairs = int((rank[row + limit] - start).sum())
     k = -(-pairs // _WINDOW)
     top = 2 * limit**4 + 1
-    done = np.arange(limit, dtype=np.int64)  # for each a, the largest b so far
-    records = []
+    found = []
     for i in range(1, k + 1):
         hi = top * i * i // (k * k)
-        upto = np.clip(_iroot4(hi - 1 - a4), done, limit)
-        counts = upto - done
+        stop = rank[row + np.clip(_iroot4(hi - 1 - a4), below, limit)]
+        counts = stop - start
         total = int(counts.sum())
         if total >= 2:
-            starts = np.cumsum(counts) - counts
-            b = np.arange(total, dtype=np.int64) + np.repeat(done + 1 - starts, counts)
-            values = np.repeat(a4, counts) + fourths[b]
+            # built in place, so that at most two window-sized arrays live
+            offsets = np.cumsum(counts) - counts
+            j = np.repeat(start - offsets, counts)
+            j += np.arange(total, dtype=np.int64)
+            values = runs[j]
+            del j
+            values += np.repeat(a4, counts)
             values.sort()
             twins = np.unique(values[1:][values[1:] == values[:-1]])
-            del b, values
-            records.extend(_twin_record(n, fourths) for n in twins.tolist())
-        done = upto
+            del values
+            found.extend(twins.tolist())
+        start = stop
+    smooth = sorted(
+        t
+        for i in range(limit.bit_length())
+        for j in range(limit.bit_length())
+        if 1 < (t := 2**i * 3**j) <= limit
+    )
+    records = []
+    for n in found:
+        record = _twin_record(n, fourths)
+        records.append(record)
+        for t in smooth:
+            reps = [r for r in record.representations if t * r.b <= limit]
+            if len(reps) < 2:
+                break
+            records.append(
+                TwinRecord(t**4 * n, tuple(Representation(t * r.a, t * r.b) for r in reps))
+            )
+    records.sort(key=lambda r: r.n)
     return records
+
+
+def _pair_runs(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The admissible b of every a <= limit, as slices of one array.
+
+    The b of an a run over one class, chosen by gcd(a, 6): all b, odd b,
+    b prime to 3, or b prime to 6. Returns (runs, rank, row): runs holds
+    the fourth powers of each class in ascending b, one class after the
+    other, and rank[row[a - 1] + x], for 0 <= x <= limit, is the runs
+    index of the first b > x in the class of a.
+    """
+    x = np.arange(1, limit + 1, dtype=np.int64)
+    classes = np.array([x > 0, x % 2 == 1, x % 3 != 0, (x % 2 == 1) & (x % 3 != 0)])
+    runs = np.concatenate([x[m] ** 4 for m in classes])
+    rank = np.zeros((len(classes), limit + 1), dtype=np.int64)
+    rank[:, 1:] = np.cumsum(classes, axis=1)
+    rank[1:] += np.cumsum(rank[:-1, -1])[:, None]
+    row = ((x % 2 == 0) + 2 * (x % 3 == 0)) * (limit + 1)
+    return runs, rank.ravel(), row
 
 
 def _twin_record(n: int, fourths: np.ndarray) -> TwinRecord:

@@ -98,7 +98,9 @@ class TestTwinSearch:
 
     def test_numpy_and_bigint_paths_agree(self):
         # The int64 windowed search against an exact Python-int enumeration.
-        assert_matches_oracle(twin_search(300), 300)
+        # 960 holds the copies of 635318657 scaled by 2, 3, 4 and 6.
+        for limit in (300, 960):
+            assert_matches_oracle(twin_search(limit), limit)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -113,6 +115,39 @@ class TestTwinSearch:
             records = twin_search(limit)
         assert_matches_oracle(records, limit)
 
+    @settings(max_examples=3, deadline=None)
+    @given(
+        limit=st.integers(min_value=300, max_value=1000),
+        window=st.sampled_from([7, 64, 1000]),
+    )
+    def test_windows_match_oracle_with_scaled_twins(self, limit, window):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_WINDOW", window)
+            records = twin_search(limit)
+        assert_matches_oracle(records, limit)
+
+    def test_pairs_built_are_the_admissible_ones(self):
+        # each a gets the b >= a with neither 2 nor 3 dividing both, and
+        # those up to any x are one slice ending at rank[row + x]
+        limit = 60
+        runs, rank, row = search._pair_runs(limit)
+        root = {b**4: b for b in range(1, limit + 1)}
+        for a in range(1, limit + 1):
+            first = rank[row[a - 1] + a - 1]
+            for x in range(a - 1, limit + 1):
+                built = [root[v] for v in runs[first : rank[row[a - 1] + x]].tolist()]
+                assert built == [b for b in range(a, x + 1) if math.gcd(a, b, 6) == 1]
+
+    def test_wheel_lemma(self):
+        # 2 or 3 divides both entries of every representation, or of none
+        for rec in twin_search(1500):
+            for p in (2, 3):
+                assert len({r.a % p == r.b % p == 0 for r in rec.representations}) == 1
+        # why: c^4 + d^4 is 1 or 2 mod 16 (mod 3) unless 2 (3) divides c and d
+        for p, m in ((2, 16), (3, 3)):
+            sums = {(c**4 + d**4) % m for c in range(m) for d in range(m) if c % p or d % p}
+            assert sums == {1, 2}
+
     def test_sorted_by_n(self):
         ns = [rec.n for rec in twin_search(600)]
         assert ns == sorted(ns)
@@ -123,12 +158,13 @@ class TestTwinSearch:
 
     def test_scaled_copies_present(self):
         # twins are closed under scaling (a, b) -> (t*a, t*b)
-        records = {rec.n: rec for rec in twin_search(400)}
+        records = {rec.n: rec for rec in twin_search(480)}
         base = records[635318657]
-        scaled = records[16 * 635318657]
-        assert {(r.a, r.b) for r in scaled.representations} == {
-            (2 * r.a, 2 * r.b) for r in base.representations
-        }
+        for t in (2, 3):
+            scaled = records[t**4 * 635318657]
+            assert {(r.a, r.b) for r in scaled.representations} == {
+                (t * r.a, t * r.b) for r in base.representations
+            }
 
     def test_twin_curves_have_z2_torsion(self):
         for rec in twin_search(400):
