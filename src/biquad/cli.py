@@ -4,7 +4,9 @@ Every subcommand prints a single JSON document on stdout (integers as
 decimal strings), diagnostics go to stderr, and the exit code is 0 iff
 the status is ok.  Bad input gets a typed status and exit code 1; an
 argument outside a function's domain (such as ``descent --N 1``, or a
-``--bound`` below 0 or above 10^4) gives ``domain_error``.  A negative fraction must be
+``--bound`` below 0 or above 10^4, or a theorem1 or theorem2 parameter
+whose N would have more digits than ``sys.get_int_max_str_digits()``
+lets ``str`` print) gives ``domain_error``.  A negative fraction must be
 joined to its flag, as in ``--u=-5/3``: argparse reads ``--u -5/3`` as a
 missing value and exits 2 with a usage error.  Negative integers such as
 ``--m -2`` parse either way.
@@ -34,7 +36,9 @@ from .families import (
     DegenerateSpecializationError,
     euler_family_points,
     euler_n,
+    euler_n_poly,
     general_family_points,
+    general_n_poly,
     identity_suite,
     specialize_euler,
     specialize_general,
@@ -136,7 +140,21 @@ def _witness(
     return _emit(payload, "ok", args.pretty)
 
 
+def _check_n_digits(params: tuple[int, ...], n_form) -> None:
+    """domain_error, before any specialization, if N, the form n_form at
+    params, has more digits than str() prints (0: no limit).  N is at least
+    its largest |parameter| (for theorem2, f1 >= max(|p|, q) and
+    f2..f4 >= 1: families.euler_degenerate), so a parameter past the limit
+    needs no N."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (
+        max(map(abs, params)) >= 10**limit or n_form.evaluate(*params) >= 10**limit
+    ):
+        raise CliError("domain_error", f"N would have more than {limit} digits")
+
+
 def cmd_theorem1(args) -> int:
+    _check_n_digits((args.m, args.n), general_n_poly())
     try:
         curve, points, parts = specialize_general(general_family_points(), args.m, args.n)
     except DegenerateSpecializationError as exc:
@@ -149,6 +167,7 @@ def cmd_theorem2(args) -> int:
         u = Fraction(args.u)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("parse_error", f"bad rational {args.u!r}") from exc
+    _check_n_digits((u.numerator, u.denominator), euler_n_poly())
     try:
         curve, points, parts = specialize_euler(euler_family_points(), u)
     except DegenerateSpecializationError as exc:

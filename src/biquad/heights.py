@@ -54,32 +54,28 @@ and G carries the factor 4, so g_1 can be even when u_0 is odd.  After
 step 1 keeping 2 is a choice, not a need: if g_j is odd, then 4 | v_j, so
 u_j and F are odd and 2 divides no later g.
 
-So with d_1 = part(D, 2 u_0) and d_{j+1} = part(d_j, 2 g_j), each g_j
-divides d_j, and g_j = gcd(F mod d_j, G mod d_j, d_j) at
-(u_{j-1}, v_{j-1}): it needs only u_{j-1}, v_{j-1} mod d_j.  Each d_j
-carries D's full power of each of its primes.  If u_{j-1}, v_{j-1} are
-known mod M and d_j | M, then F and G are known mod M, g_j divides M, and
-u_j = F/g_j, v_j = G/g_j are known mod M/g_j and so mod
-part(M/g_j, d_{j+1}), the next modulus.  A pass from M = d_1^k therefore
-stays exact while d_j divides what is left of M before step j.  The loop
-starts at k = 2 and, when that check fails, restarts from (u_0, v_0)
-with k doubled, capped at n + 1 for n steps.  At the cap the check never
-fails: before step j the modulus is the d_j-part of
-D^(n+1) / (g_1 ... g_{j-1}), a multiple of d_j^(n+2-j) because the
-d_j-part of each g_i divides d_j.  So the loop ends, with the same g_j as
-one pass at D^(n+1), and the doubling keeps its work within about twice
-that pass.  The check on d_j fails exactly where a check of D against
-D^k / (g_1 ... g_{j-1}) would: a prime's exponent there drops only at a
-step whose g it divides, and that prime is still in the next d.  So the
-passes, restarts included, are those of a loop carried modulo D^k.
+So with d = part(D, 2 u_0), found once per point, the loop carries u_j
+and v_j modulo a power of d and takes g_{j+1} = gcd(F mod d, G mod d, d):
 
-On the 1,260 theorem2 Gram points at u = p/q, p, q <= 12, the g_j
-multiply to at most D^0.45 and no pass restarts.  d_1 is at most D^0.68
-(median about D^0.05), and only g_1 ever has an odd prime, so d_2 = d_1
-and from d_3 on the modulus is a power of 2.  Once d_j is a power of 2,
-so is the modulus (its primes are always among those of d_j), and
-part(d_j, 2 g_j) = d_j and part(M/g_j, d_j) = M/g_j: the loop then only
-divides the modulus by g_j and takes no gcds of its own.
+- Every g_j divides d: it divides D, its odd primes divide g_1 and so
+  u_0, and d carries D's full power of 2 and of each such prime.
+- A g = 1 ends the loop: once g_j = 1 (j >= 1), no odd prime divides a
+  later g, and neither does 2, g_j being odd.
+- If u_{j-1}, v_{j-1} are known mod M and d | M, then g_j divides M and
+  u_j = F/g_j, v_j = G/g_j are known mod M/g_j.  A pass from M = d^k is
+  exact while d divides what is left of M before step j.  As every g_i
+  divides d, that check fails exactly where D fails to divide
+  D^k / (g_1 ... g_{j-1}): the passes are those of a loop modulo D^k.
+  The loop starts at k = 2 and, when the check fails, restarts from
+  (u_0, v_0) with k doubled, capped at n + 1 for n steps.
+- At the cap the check never fails: before step j the modulus is
+  d^(n+1) / (g_1 ... g_{j-1}), a multiple of d^(n+2-j).  So the loop ends
+  with the g_j of one pass at D^(n+1), and the doubling keeps its work
+  within about twice that pass.
+
+On 1,140 Gram points, of theorem2 at the 90 u = p/q with p, q <= 12 and
+of theorem1 at 80 (m, n) up to 40540, only g_1 can exceed 1: no pass
+restarts or takes more than two steps.
 
 Curve constants in closed form: with f = (x^2 - b)^2, g = 4x(x^2 + b) and
 the reversed forms f~ = (1 - b y^2)^2, g~ = 4y(1 + b y^2), the identities
@@ -232,6 +228,27 @@ def _green(u0: int, v0: int, b: int, n_iter: int) -> float:
     return num / (1 << (2 * n_iter + _LN2_BITS))
 
 
+def _gcd_pass(u0: int, v0: int, b: int, d: int, k: int, n_iter: int) -> float | None:
+    """sum_j 4^-j log g_j over the first n_iter steps, from residues modulo
+    d^k; None once d stops dividing the modulus (module docstring,
+    "Precision").  The pass ends at the first g = 1: every later g is 1."""
+    mod = d**k
+    a_res, b_res = u0 % mod, v0 % mod
+    gcd_sum = 0.0
+    for j in range(1, n_iter + 1):
+        if mod % d:
+            return None
+        fv = (a_res * a_res - b * b_res * b_res) ** 2 % mod
+        gv = 4 * a_res * b_res * (a_res * a_res + b * b_res * b_res) % mod
+        g = math.gcd(fv % d, gv % d, d)
+        if g == 1:
+            break
+        gcd_sum += log_big(g) / 4**j
+        mod //= g
+        a_res, b_res = (fv // g) % mod, (gv // g) % mod
+    return gcd_sum
+
+
 def canonical_height(p: Point) -> HeightValue:
     """Canonical height with a certified absolute error bound.
 
@@ -250,32 +267,13 @@ def canonical_height(p: Point) -> HeightValue:
     u0 = p.x.numerator
     v0 = p.x.denominator
 
-    # exact gcd corrections via residues modulo d_j^k, d_j the part of D over
-    # 2 and the odd primes that can still divide g_j: start at k = 2 and
-    # restart with k doubled, up to n_iter + 1, once d_j stops dividing the
-    # modulus (module docstring, "Precision")
+    # exact gcd corrections via residues modulo d^k, d the part of D over 2
+    # and the primes of u0: from k = 2, restarted with k doubled, up to
+    # n_iter + 1, when d stops dividing the modulus (module docstring,
+    # "Precision")
+    d = _part(d_const, 2 * u0)
     k = 2
-    while True:
-        d = _part(d_const, 2 * u0)
-        mod = d**k
-        a_res, b_res = u0 % mod, v0 % mod
-        gcd_sum = 0.0
-        for j in range(1, n_iter + 1):
-            if mod % d:
-                break
-            fv = (a_res * a_res - b * b_res * b_res) ** 2 % mod
-            gv = 4 * a_res * b_res * (a_res * a_res + b * b_res * b_res) % mod
-            g = math.gcd(math.gcd(fv % d, gv % d), d)
-            if g > 1:
-                gcd_sum += log_big(g) / 4**j
-            if d & (d - 1):  # d has an odd prime: cut both to the next d
-                d = _part(d, 2 * g)
-                mod = _part(mod // g, d)
-            else:  # d and mod are powers of 2, and the next d is d
-                mod //= g
-            a_res, b_res = (fv // g) % mod, (gv // g) % mod
-        else:
-            break
+    while (gcd_sum := _gcd_pass(u0, v0, b, d, k, n_iter)) is None:
         k = min(2 * k, n_iter + 1)
     gcd_tail = log_d * 4.0**-n_iter / 3.0
 

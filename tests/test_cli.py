@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -361,6 +362,73 @@ def test_oversized_bound_rejected_before_search():
     )
     assert r.returncode == 1, r.stderr[-2000:]
     assert json.loads(r.stdout)["status"] == "domain_error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem2", "--u", "1e5000"],
+        ["theorem2", "--u", "1e400"],
+        ["theorem2", "--u", "1e160"],
+        ["theorem2", "--u", "1e-160"],
+        ["theorem1", "--m", str(10**1100), "--n", "1"],
+    ],
+)
+def test_unprintable_n_rejected_before_specialization(argv):
+    """An N with more digits than str() prints could never be output.  Such
+    a u ended in internal_error at its first str() (1e5000) or ran past a
+    20 s timeout (1e160, 1e-160, 1e400), and (10^1100, 1) past 10 s."""
+    r = subprocess.run(
+        [sys.executable, "-m", "biquad.cli", *argv],
+        cwd=Path(__file__).resolve().parent.parent / "src",
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert r.returncode == 1, r.stderr[-2000:]
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(r.stdout) == {
+        "status": "domain_error",
+        "error": f"N would have more than {limit} digits",
+    }
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_n_digit_limit_is_exact(monkeypatch, limit):
+    """theorem1 at (10^1075, 1) has N = 10^4300 + 1, one digit past a 4300
+    limit, and (10^1075 - 1, 1) has 4300 digits; for theorem2, N(10^153, 1)
+    has 4285 digits and N(10^154, 1) 4313.  A limit of 0 is no limit."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    check = biquad.cli._check_n_digits
+    general, euler = biquad.families.general_n_poly(), biquad.families.euler_n_poly()
+    check((10**1075 - 1, 1), general)
+    check((10**153, 1), euler)
+    for params, form in [((10**1075, 1), general), ((10**154, 1), euler)]:
+        if limit:
+            with pytest.raises(biquad.cli.CliError, match="4300 digits"):
+                check(params, form)
+        else:
+            check(params, form)
+
+
+def test_readme_cli_examples(tmp_path):
+    """Every `biquad ...` line of README's CLI section runs and exits 0,
+    except the --mutate negative control, which exits 1."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    pts = tmp_path / "pts.jsonl"
+    pts.write_text(json.dumps(Curve(-17).point(-1, 4).to_json()) + "\n")
+    commands = []
+    for line in section.splitlines():
+        argv = shlex.split(line.removeprefix("$ "), comments=True)
+        if argv[:1] == ["biquad"]:
+            commands.append([str(pts) if a == "pts.jsonl" else a for a in argv[1:]])
+    assert {argv[0] for argv in commands} == {
+        "verify-identities", "theorem1", "theorem2", "search", "descent", "height"
+    }
+    for argv in commands:
+        code = main(argv)
+        assert code == (1 if "--mutate" in argv else 0), argv
 
 
 @pytest.mark.parametrize("u", ["1000", "1000003/7"])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -291,12 +292,10 @@ class TestGcdPrecision:
 
     def test_moduli_pinned(self, monkeypatch):
         """The digits of the argument n and of the result of every _part
-        call, at the ten Gram points of u = 5/3 (D has 62 digits).  At P1,
-        d_1 = part(D, 2 u_0) has 40 digits and the pass starts from d_1^2;
-        g_1 keeps d and cuts the modulus to 57 digits; g_2 = 1 cuts d to
-        its 2-part (5 digits) and the modulus to 10.  From then on both are
-        powers of 2 and the loop only divides the modulus by g.  At P2, P3,
-        P4 and the sums without P1, d_1 is already a power of 2."""
+        call, at the ten Gram points of u = 5/3 (D has 62 digits): one call
+        per height, d = part(D, 2 u_0).  At P1 and its sums d has 40
+        digits; at P2, P3, P4 and the sums without P1 it is the 2-part of
+        D (5 digits)."""
         pts, _ = euler_gram_points(Fraction(5, 3))
         sums = [add(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4)]
         calls = []
@@ -312,10 +311,31 @@ class TestGcdPrecision:
             canonical_height(p)
             got.append(calls[:])
             calls.clear()
-        odd_start = [(62, 40), (40, 40), (57, 57), (40, 5), (57, 10)]
-        odd_sum = [(62, 40), (40, 40), (54, 54), (40, 5), (54, 7)]
-        two = [(62, 5)]
-        assert got == [odd_start, two, two, two, odd_sum, odd_sum, odd_sum, two, two, two]
+        odd, two = [(62, 40)], [(62, 5)]
+        assert got == [odd, two, two, two, odd, odd, odd, two, two, two]
+
+    def test_pass_ends_at_first_g_1(self, monkeypatch):
+        """At the ten Gram points of u = 5/3 only g_1 can exceed 1, so each
+        height's one pass ends at its second step (at P3 + P4, where
+        g_1 = 1, at its first), not after all n_iter.  Each step takes one
+        three-argument gcd, and nothing else in the module does."""
+        pts, _ = euler_gram_points(Fraction(5, 3))
+        sums = [add(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4)]
+        steps = []
+
+        def gcd(*args):
+            steps.append(len(args) == 3)
+            return math.gcd(*args)
+
+        monkeypatch.setattr(
+            biquad.heights, "math", SimpleNamespace(**vars(math) | {"gcd": gcd})
+        )
+        got = []
+        for p in pts + sums:
+            canonical_height(p)
+            got.append(sum(steps))
+            steps.clear()
+        assert got == [2] * 9 + [1]
 
     def test_169_digit_regulator_pinned(self):
         """u = 1000003/7: ten heights on a 13,000-digit full modulus; the
