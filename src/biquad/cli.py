@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .arith import ArithDomainError
 from .curves import Curve, Point, on_curve
@@ -140,6 +141,9 @@ def _witness(
     return _emit(payload, "ok", args.pretty)
 
 
+_ten_to = cache(partial(pow, 10))  # 10**limit, once per limit value
+
+
 def _check_n_digits(params: tuple[int, ...], n_form) -> None:
     """domain_error, before any specialization, if N, the form n_form at
     params, has more digits than str() prints (0: no limit).  N is at least
@@ -148,7 +152,7 @@ def _check_n_digits(params: tuple[int, ...], n_form) -> None:
     needs no N."""
     limit = sys.get_int_max_str_digits()
     if limit and (
-        max(map(abs, params)) >= 10**limit or n_form.evaluate(*params) >= 10**limit
+        max(map(abs, params)) >= _ten_to(limit) or n_form.evaluate(*params) >= _ten_to(limit)
     ):
         raise CliError("domain_error", f"N would have more than {limit} digits")
 
@@ -163,10 +167,17 @@ def cmd_theorem1(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
+    # Fraction would compute 10**exp first. The mantissa has fewer than len(args.u) digits,
+    # so |exp| > limit + len(args.u) puts p or q past the limit unless the mantissa is 0.
+    limit = sys.get_int_max_str_digits()
+    m = re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", args.u, re.IGNORECASE | re.DOTALL)
     try:
-        u = Fraction(args.u)
+        huge = bool(limit and m) and abs(int(m[2])) > limit + len(args.u)
+        u = Fraction(m[1] + "e0" if huge else args.u)  # the mantissa, parsed as in args.u
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("parse_error", f"bad rational {args.u!r}") from exc
+    if huge and u:
+        raise CliError("domain_error", f"N would have more than {limit} digits")
     _check_n_digits((u.numerator, u.denominator), euler_n_poly())
     try:
         curve, points, parts = specialize_euler(euler_family_points(), u)

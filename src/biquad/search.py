@@ -54,25 +54,10 @@ class TwinRecord:
 
 # Pairs per value window of twin_search. A window's int64 work arrays
 # take a few MB each, whatever the limit. Smaller windows sort faster in
-# cache, but every window also costs O(limit) work, which outweighs that
-# gain at limit 40540 below 2^19 pairs.
+# cache, but every window also runs four binary searches over all limit
+# values of a: at limit 40540 about 1 ms a window against 5 ms for its
+# sort, so each halving of the window adds about 1 s to a 9-10 s search.
 _WINDOW = 2**19
-
-
-def _iroot4(x):
-    """floor(x^(1/4)) elementwise for int64 x >= 0, and -1 where x < 0.
-
-    The float64 estimate is off by at most one either way. Each fix
-    compares s with y // s for s = r^2, which cannot overflow int64.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.maximum(x, 0)
-    r = np.sqrt(np.sqrt(y.astype(np.float64))).astype(np.int64)
-    s = r * r
-    r -= s > y // np.maximum(s, 1)
-    s = (r + 1) ** 2
-    r += s <= y // s
-    return np.where(x < 0, -1, r)
 
 
 def twin_search(limit: int) -> list[TwinRecord]:
@@ -93,36 +78,34 @@ def twin_search(limit: int) -> list[TwinRecord]:
     entries of 18292^4 + 45883^4 = 10757^4 + 46136^4 but neither of the
     other.
 
-    The values 2 .. 2*limit^4 are cut into windows [lo, hi) of equal
-    width in sqrt(value), which hold similar numbers of pairs because
-    the pair count below X grows like sqrt(X). In each window the b
-    range of every a comes from an integer fourth root (Bernstein,
-    "Enumerating solutions to p(a)+q(b)=r(c)+s(d)", Math. Comp. 70,
-    2001) and is one slice of its class in _pair_runs. The window's
-    values are built, sorted and checked for repeats in numpy, so memory
-    is O(_WINDOW) rather than O(limit^2). The representations of a
-    repeated value n' are the a <= b with n' - a^4 a fourth power; those
-    of its scaled copies are multiplied out from them, with no second
-    search. Everything is int64, which holds every a^4 + b^4 for
-    limit <= 46340; larger limits are rejected. Records come in
-    ascending N, and their representations in ascending a.
+    The values 2 .. 2*limit^4 are cut into windows [lo, hi) of equal width
+    in sqrt(value), which hold similar numbers of pairs because the pair
+    count below X grows like sqrt(X). In each window the b range of every a
+    is one slice of its class in _pair_runs, which ends at its first b with
+    b^4 >= hi - a^4, found by binary search (after Bernstein, "Enumerating
+    solutions to p(a)+q(b)=r(c)+s(d)", Math. Comp. 70, 2001). The window's
+    values are built, sorted and checked for repeats in numpy, so memory is
+    O(_WINDOW) rather than O(limit^2). The representations of a repeated
+    value n' are the a <= b with n' - a^4 a fourth power; those of its
+    scaled copies are multiplied out from them, with no second search.
+    Everything is exact int64, which holds every a^4 + b^4 for
+    limit <= 46340; larger limits are rejected. Records come in ascending
+    N, and their representations in ascending a.
     """
     if limit < 2:
         raise ArithDomainError("limit must be at least 2")
     if 2 * limit**4 >= 2**63:
         raise ArithDomainError("limit must be at most 46340 (int64 range)")
     fourths = np.arange(limit + 1, dtype=np.int64) ** 4
-    a4 = fourths[1:]
-    below = np.arange(limit, dtype=np.int64)  # a - 1: each a pairs with b > a - 1
-    runs, rank, row = _pair_runs(limit)
-    start = rank[row + below]  # for each a, the runs index of its next b
-    pairs = int((rank[row + limit] - start).sum())
-    k = -(-pairs // _WINDOW)
+    runs, a4, groups = _pair_runs(limit)
+    start = _first_b(runs, groups, a4)  # for each a, the runs index of its first b >= a
     top = 2 * limit**4 + 1
+    pairs = int((_first_b(runs, groups, top - a4) - start).sum())
+    k = -(-pairs // _WINDOW)
     found = []
     for i in range(1, k + 1):
         hi = top * i * i // (k * k)
-        stop = rank[row + np.clip(_iroot4(hi - 1 - a4), below, limit)]
+        stop = np.maximum(start, _first_b(runs, groups, hi - a4))
         counts = stop - start
         total = int(counts.sum())
         if total >= 2:
@@ -159,23 +142,28 @@ def twin_search(limit: int) -> list[TwinRecord]:
     return records
 
 
-def _pair_runs(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_runs(limit: int) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, slice]]]:
     """The admissible b of every a <= limit, as slices of one array.
 
     The b of an a run over one class, chosen by gcd(a, 6): all b, odd b,
-    b prime to 3, or b prime to 6. Returns (runs, rank, row): runs holds
+    b prime to 3, or b prime to 6. Returns (runs, a4, groups): runs holds
     the fourth powers of each class in ascending b, one class after the
-    other, and rank[row[a - 1] + x], for 0 <= x <= limit, is the runs
-    index of the first b > x in the class of a.
+    other, a4 those of 1 .. limit grouped by class and descending in each,
+    and groups pairs the slice of each class in runs with its slice of a4.
     """
     x = np.arange(1, limit + 1, dtype=np.int64)
-    classes = np.array([x > 0, x % 2 == 1, x % 3 != 0, (x % 2 == 1) & (x % 3 != 0)])
-    runs = np.concatenate([x[m] ** 4 for m in classes])
-    rank = np.zeros((len(classes), limit + 1), dtype=np.int64)
-    rank[:, 1:] = np.cumsum(classes, axis=1)
-    rank[1:] += np.cumsum(rank[:-1, -1])[:, None]
-    row = ((x % 2 == 0) + 2 * (x % 3 == 0)) * (limit + 1)
-    return runs, rank.ravel(), row
+    kind = (x % 2 == 0) + 2 * (x % 3 == 0)  # a and b pair iff kind[a] & kind[b] == 0
+    b = [x[(kind & c) == 0] for c in range(4)]
+    a = [x[kind == c][::-1] for c in range(4)]
+    ends = np.cumsum([[0, 0]] + [[len(u), len(v)] for u, v in zip(b, a)], axis=0).tolist()
+    groups = [(slice(r0, r1), slice(s0, s1)) for (r0, s0), (r1, s1) in zip(ends, ends[1:])]
+    return np.concatenate(b) ** 4, np.concatenate(a) ** 4, groups
+
+
+def _first_b(runs: np.ndarray, groups: list[tuple[slice, slice]], keys: np.ndarray) -> np.ndarray:
+    """For each a, the runs index of the first b of its class with b^4 >= its
+    key, or the end of the class. The keys hi - a^4 ascend in each class."""
+    return np.concatenate([r.start + np.searchsorted(runs[r], keys[s]) for r, s in groups])
 
 
 def _twin_record(n: int, fourths: np.ndarray) -> TwinRecord:

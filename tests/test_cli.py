@@ -3,6 +3,7 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -391,6 +392,27 @@ def test_unprintable_n_rejected_before_specialization(argv):
         "status": "domain_error",
         "error": f"N would have more than {limit} digits",
     }
+
+
+@pytest.mark.parametrize(
+    "u, status",
+    [
+        ("1e20000000", "domain_error"),
+        ("1e-20000000", "domain_error"),
+        ("-2.5E+20000000", "domain_error"),
+        ("0e20000000", "degenerate"),
+        ("5/3e20000000", "parse_error"),
+    ],
+)
+def test_huge_exponent_rejected_before_fraction(capsys, u, status):
+    """Fraction("1e20000000") computes 10**20000000, which took 38 s; the
+    exponent alone shows that p or q would have too many digits."""
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "theorem2", f"--u={u}")
+    assert time.perf_counter() - start < 1
+    assert (code, doc["status"]) == (1, status)
+    if status == "domain_error":
+        assert doc["error"] == f"N would have more than {sys.get_int_max_str_digits()} digits"
 
 
 @pytest.mark.parametrize("limit", [4300, 0])

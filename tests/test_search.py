@@ -1,3 +1,5 @@
+import bisect
+import functools
 import math
 
 import numpy as np
@@ -10,7 +12,6 @@ from biquad.curves import TorsionKind, torsion_kind
 from biquad.search import (
     Representation,
     TwinRecord,
-    _iroot4,
     load_decomposition_tables,
     twin_search,
     verify_decomposition_tables,
@@ -40,20 +41,50 @@ def assert_matches_oracle(records, limit):
     )
 
 
-class TestIroot4:
-    @given(k=st.integers(min_value=1, max_value=55108))
-    def test_around_fourth_powers(self, k):
-        x = np.array([k**4 - 1, k**4, k**4 + 1], dtype=np.int64)
-        assert _iroot4(x).tolist() == [math.isqrt(math.isqrt(int(v))) for v in x]
+@functools.cache
+def top_pair_runs():
+    return search._pair_runs(46340)
+
+
+@functools.cache
+def class_fourths(g):
+    """b^4 for the b <= 46340 prime to g = gcd(a, 6), as Python ints."""
+    return [b**4 for b in range(1, 46341) if math.gcd(g, b) == 1]
+
+
+def assert_first_b(key):
+    """At the largest allowed limit, every a's lookup for one key is its
+    class's start plus the Python-int count of the b in it with b^4 < key."""
+    runs, a4, groups = top_pair_runs()
+    got = search._first_b(runs, groups, np.full(len(a4), key, dtype=np.int64))
+    for r, s in groups:
+        (g,) = set(np.gcd(a4[s], 6).tolist())  # gcd(a^4, 6) = gcd(a, 6)
+        assert (got[s] == r.start + bisect.bisect_left(class_fourths(g), key)).all()
+
+
+class TestFirstB:
+    @settings(max_examples=30, deadline=None)
+    @given(b=st.integers(min_value=1, max_value=46340))
+    @example(b=1)
+    @example(b=2)
+    @example(b=3)
+    @example(b=5)
+    @example(b=46339)
+    @example(b=46340)
+    def test_around_fourth_powers(self, b):
+        # 1 is the first b of every class; 46340 is the last b of two
+        # classes and 46339 of the other two
+        for key in (b**4 - 1, b**4, b**4 + 1):
+            assert_first_b(key)
 
     def test_top_of_search_range(self):
         top = 2 * 46340**4
-        x = np.array([0, 1, top - 1, top, top + 1, 2**63 - 1], dtype=np.int64)
-        assert _iroot4(x).tolist() == [math.isqrt(math.isqrt(int(v))) for v in x]
+        for key in (top - 1, top, top + 1, 2**63 - 1):
+            assert_first_b(key)
 
     def test_negative(self):
-        x = np.array([-1, -2, -(2**62)], dtype=np.int64)
-        assert _iroot4(x).tolist() == [-1, -1, -1]
+        for key in (0, -1, -(2**62), -(2**63)):
+            assert_first_b(key)
 
 
 class TestRepresentation:
@@ -127,16 +158,29 @@ class TestTwinSearch:
         assert_matches_oracle(records, limit)
 
     def test_pairs_built_are_the_admissible_ones(self):
-        # each a gets the b >= a with neither 2 nor 3 dividing both, and
-        # those up to any x are one slice ending at rank[row + x]
+        # each a's slice, from its first b >= a to the end of its class,
+        # holds exactly the b >= a with neither 2 nor 3 dividing both
         limit = 60
-        runs, rank, row = search._pair_runs(limit)
+        runs, a4, groups = search._pair_runs(limit)
+        start = search._first_b(runs, groups, a4)
         root = {b**4: b for b in range(1, limit + 1)}
-        for a in range(1, limit + 1):
-            first = rank[row[a - 1] + a - 1]
-            for x in range(a - 1, limit + 1):
-                built = [root[v] for v in runs[first : rank[row[a - 1] + x]].tolist()]
-                assert built == [b for b in range(a, x + 1) if math.gcd(a, b, 6) == 1]
+        assert sorted(a4.tolist()) == list(root)
+        for r, s in groups:
+            assert (np.diff(a4[s]) < 0).all()
+            for x, first in zip([root[v] for v in a4[s].tolist()], start[s].tolist()):
+                built = [root[v] for v in runs[first : r.stop].tolist()]
+                assert built == [b for b in range(x, limit + 1) if math.gcd(x, b, 6) == 1]
+
+    def test_every_small_limit_is_a_cut_of_limit_1000(self):
+        # the twins at a limit are those at 1000 cut to the b <= limit
+        full = twin_search(1000)
+        for limit in range(2, 1001):
+            expected = []
+            for rec in full:
+                reps = tuple(r for r in rec.representations if r.b <= limit)
+                if len(reps) >= 2:
+                    expected.append(TwinRecord(rec.n, reps))
+            assert twin_search(limit) == expected, limit
 
     def test_wheel_lemma(self):
         # 2 or 3 divides both entries of every representation, or of none
