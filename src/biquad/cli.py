@@ -6,10 +6,11 @@ the status is ok.  Bad input gets a typed status and exit code 1; an
 argument outside a function's domain (such as ``descent --N 1``, or a
 ``--bound`` below 0 or above 10^4, or a theorem1 or theorem2 parameter
 whose N would have more digits than ``sys.get_int_max_str_digits()``
-lets ``str`` print) gives ``domain_error``.  A negative fraction must be
-joined to its flag, as in ``--u=-5/3``: argparse reads ``--u -5/3`` as a
-missing value and exits 2 with a usage error.  Negative integers such as
-``--m -2`` parse either way.
+lets ``str`` print, or a ``--point`` coordinate whose decimal exponent
+alone puts it past that many digits) gives ``domain_error``.  A negative
+fraction must be joined to its flag, as in ``--u=-5/3``: argparse reads
+``--u -5/3`` as a missing value and exits 2 with a usage error.
+Negative integers such as ``--m -2`` parse either way.
 
 Subcommands:
 
@@ -60,6 +61,23 @@ def _emit(payload: dict, status: str = "ok", pretty: bool = False) -> int:
     return 0 if status == "ok" else 1
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """text as Fraction reads it, without the 10**exp Fraction would build
+    first: the mantissa has fewer than len(text) digits, so |exp| > limit +
+    len(text) puts the numerator or denominator past the limit of what str()
+    prints (a domain_error naming what) unless the mantissa is 0."""
+    limit = sys.get_int_max_str_digits()
+    m = re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", text, re.IGNORECASE | re.DOTALL)
+    try:
+        huge = bool(limit and m) and abs(int(m[2])) > limit + len(text)
+        r = Fraction(m[1] + "e0" if huge else text)  # the mantissa, parsed as in text
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError("parse_error", f"bad rational {text!r}") from exc
+    if huge and r:
+        raise CliError("domain_error", f"{what} would have more than {limit} digits")
+    return r
+
+
 def _parse_point(curve: Curve, text: str) -> Point:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
@@ -67,11 +85,7 @@ def _parse_point(curve: Curve, text: str) -> Point:
     parts = text[1:-1].split(",")
     if len(parts) != 2:
         raise CliError("parse_error", f"point must have two coordinates: {text!r}")
-    try:
-        x, y = Fraction(parts[0].strip()), Fraction(parts[1].strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("parse_error", f"bad coordinate in {text!r}: {exc}") from exc
-    p = Point(curve, x, y)
+    p = Point(curve, *(_rational(s.strip(), "a coordinate") for s in parts))
     if not on_curve(curve, p):
         raise CliError("not_on_curve", f"{text} is not on {curve}")
     return p
@@ -115,9 +129,7 @@ def cmd_verify_identities(args) -> int:
     return _emit(payload, status, args.pretty)
 
 
-def _witness(
-    args, curve: Curve, points: list[Point], parts: list[int], rank: int, u=None
-) -> int:
+def _witness(args, curve: Curve, points: list[Point], parts: list[int], u=None) -> int:
     """Emit the rank witness of specialized family points on one curve.
 
     parts, N's factors from the specialization, feed the descent.
@@ -136,7 +148,7 @@ def _witness(
         "on_curve": [on_curve(curve, p) for p in points],
         "regulator": reg,
         "descent": descent.to_json(),
-        "verdict": f"rank >= {rank}" if reg["independent"] else "inconclusive",
+        "verdict": f"rank >= {len(points)}" if reg["independent"] else "inconclusive",
     }
     return _emit(payload, "ok", args.pretty)
 
@@ -159,31 +171,15 @@ def _check_n_digits(params: tuple[int, ...], n_form) -> None:
 
 def cmd_theorem1(args) -> int:
     _check_n_digits((args.m, args.n), general_n_poly())
-    try:
-        curve, points, parts = specialize_general(general_family_points(), args.m, args.n)
-    except DegenerateSpecializationError as exc:
-        raise CliError("degenerate", str(exc)) from exc
-    return _witness(args, curve, points, parts, 2)
+    curve, points, parts = specialize_general(general_family_points(), args.m, args.n)
+    return _witness(args, curve, points, parts)
 
 
 def cmd_theorem2(args) -> int:
-    # Fraction would compute 10**exp first. The mantissa has fewer than len(args.u) digits,
-    # so |exp| > limit + len(args.u) puts p or q past the limit unless the mantissa is 0.
-    limit = sys.get_int_max_str_digits()
-    m = re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", args.u, re.IGNORECASE | re.DOTALL)
-    try:
-        huge = bool(limit and m) and abs(int(m[2])) > limit + len(args.u)
-        u = Fraction(m[1] + "e0" if huge else args.u)  # the mantissa, parsed as in args.u
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("parse_error", f"bad rational {args.u!r}") from exc
-    if huge and u:
-        raise CliError("domain_error", f"N would have more than {limit} digits")
+    u = _rational(args.u, "N")
     _check_n_digits((u.numerator, u.denominator), euler_n_poly())
-    try:
-        curve, points, parts = specialize_euler(euler_family_points(), u)
-    except DegenerateSpecializationError as exc:
-        raise CliError("degenerate", str(exc)) from exc
-    return _witness(args, curve, points, parts, 4, u)
+    curve, points, parts = specialize_euler(euler_family_points(), u)
+    return _witness(args, curve, points, parts, u)
 
 
 def cmd_search(args) -> int:
@@ -281,6 +277,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         return _fail(exc.code, exc)
+    except DegenerateSpecializationError as exc:  # before its base, ArithDomainError
+        return _fail("degenerate", exc)
     except ArithDomainError as exc:
         return _fail("domain_error", exc)
     except Exception as exc:  # pragma: no cover - unexpected failure path

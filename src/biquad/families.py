@@ -229,14 +229,14 @@ def euler_degenerate(u) -> str | None:
     f3 = (u^4 - 2u^2w^2)^2 + (2u^2w^2 - w^4)^2: the first square vanishes
     only at u = 0 or u^2 = 2w^2, the second only at w = 0 or w^2 = 2u^2,
     and one condition from each forces (u, w) = (0, 0).
+
+    The two representations never coincide at another u: that needs
+    a = +-c or a = +-d at (p, q), and the only rational roots of A +- C,
+    A +- D, B +- C and B +- D at w = 1 are -1, 0 and 1 (q >= 1 rules out
+    w = 0).
     """
     u = Fraction(u)
-    if u in (0, 1, -1):
-        return f"u = {u} is degenerate"
-    a, b, c, d = (f.evaluate(u.numerator, u.denominator) for f in (A, B, C, D))
-    if {abs(a), abs(b)} == {abs(c), abs(d)}:
-        return f"the two representations coincide at u = {u}"
-    return None
+    return f"u = {u} is degenerate" if u in (0, 1, -1) else None
 
 
 def specialize_euler(points, u) -> tuple[Curve, list[Point], list[int]]:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import shlex
@@ -252,6 +253,66 @@ class TestHeight:
         assert code == 1
         assert doc == {"status": "singular_curve", "error": "singular curve b=0"}
 
+    @pytest.mark.parametrize("point", ["(1e20000000,1)", "(1,1e-20000000)", "(-2.5E+20000000, 1)"])
+    def test_huge_exponent_rejected_before_fraction(self, capsys, point):
+        """A coordinate goes through the same exponent guard as theorem2's
+        --u: (1e20000000,1) printed nothing in 100 s, as Fraction built
+        10**20000000 before the curve was checked."""
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "height", "--curve", "-17", "--point", point)
+        assert time.perf_counter() - start < 1
+        assert (code, doc) == (1, {
+            "status": "domain_error",
+            "error": f"a coordinate would have more than {sys.get_int_max_str_digits()} digits",
+        })
+
+    def test_huge_exponent_of_zero(self, capsys):
+        code, doc = run_cli(capsys, "height", "--curve", "-17", "--point", "(0e20000000,0)")
+        assert code == 0
+        assert (doc["point"]["x"]["num"], doc["canonical_height"]) == ("0", "0.000000000000")
+
+    @pytest.mark.parametrize("point, bad", [("(five,1)", "five"), ("(1, 2/0)", "2/0")])
+    def test_bad_coordinate(self, capsys, point, bad):
+        code, doc = run_cli(capsys, "height", "--curve", "-17", "--point", point)
+        assert (code, doc) == (1, {"status": "parse_error", "error": f"bad rational {bad!r}"})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["7", "-12", "+3", "0", "5/3", "-10/4", " 7/2 ", "1_000", "1_000/3", "2.5", "-0.125",
+     ".5", "5.", "-2.5E+3", "1e-7", "3E2", "  4.5e1\n", "1.5e+1_0", "0e0"],
+)
+def test_rational_matches_fraction(text):
+    assert biquad.cli._rational(text, "x") == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", " ", "five", "1/0", "1/-2", "1e", "e5", "1e5/2", "5/3e2", "1__0", "_1", "1.2.3",
+             "0x10", "1/2/3", "inf", "nan", "1 2", "7 / 2"],
+)
+def test_rational_rejects_what_fraction_rejects(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Fraction(text)
+    with pytest.raises(biquad.cli.CliError) as exc:
+        biquad.cli._rational(text, "x")
+    assert (exc.value.code, str(exc.value)) == ("parse_error", f"bad rational {text!r}")
+
+
+def test_one_rational_parser():
+    """Every Fraction(...) call in the CLI sits inside _rational, the one
+    parser with the exponent guard; a second one would miss it, as the
+    --point parser once did."""
+    tree = ast.parse(Path(biquad.cli.__file__).read_text())
+    rational = next(f for f in tree.body if getattr(f, "name", None) == "_rational")
+
+    def fraction_calls(node):
+        return sorted(
+            n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Fraction"
+        )
+
+    assert fraction_calls(tree) == fraction_calls(rational) != []
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -451,6 +512,26 @@ def test_readme_cli_examples(tmp_path):
     for argv in commands:
         code = main(argv)
         assert code == (1 if "--mutate" in argv else 0), argv
+
+
+def test_readme_library_example():
+    """README's Library block runs, and each of its expressions gives what
+    its comment says."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, ns)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+    assert ns["h"].value == pytest.approx(1.17218, abs=1e-4)
+    assert values["rank_lower_bound(17, 10)"].rank_lower_bound == 2
+    assert values["twin_search(200)"][0].n == 635318657
+    assert values['regulator_report(points)["independent"]'] is True
+    report = values["rank_lower_bound(-curve.b, 2, points, parts=parts)"]
+    assert report.n == -ns["curve"].b
 
 
 @pytest.mark.parametrize("u", ["1000", "1000003/7"])

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, strategies as st
 
 from biquad.curves import Curve, on_curve
@@ -41,6 +42,23 @@ class TestEulerQuadruple:
         vals = [p.evaluate(1, 1) for p in euler_quadruple()]
         assert vals == [4, -2, -2, 4]
         assert euler_degenerate(1) is not None
+
+    def test_representations_coincide_only_at_degenerate_u(self):
+        # the lemma in euler_degenerate: a = +-c or a = +-d, or b = +-c or
+        # b = +-d, at a rational u = p/q (q >= 1) only where u is -1, 0 or 1
+        u = sympy.symbols("u")
+        a, b, c, d = euler_quadruple()
+        roots = {
+            name: set(sympy.roots(sympy.Poly(f.coeffs[::-1], u), filter="Q"))
+            for name, f in [
+                ("A+C", a + c), ("A-C", a - c), ("A+D", a + d), ("A-D", a - d),
+                ("B+C", b + c), ("B-C", b - c), ("B+D", b + d), ("B-D", b - d),
+            ]
+        }
+        assert roots == {
+            "A+C": {0}, "A-C": {0}, "A+D": {-1}, "A-D": {1},
+            "B+C": {-1}, "B-C": {1}, "B+D": set(), "B-D": {0},
+        }
 
     def test_homogeneous_degree_7(self):
         for p in euler_quadruple():
