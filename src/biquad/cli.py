@@ -4,10 +4,12 @@ Every subcommand prints a single JSON document on stdout (integers as
 decimal strings), diagnostics go to stderr, and the exit code is 0 iff
 the status is ok.  Bad input gets a typed status and exit code 1; an
 argument outside a function's domain (such as ``descent --N 1``, or a
-``--bound`` below 0 or above 10^4, or a theorem1 or theorem2 parameter
-whose N would have more digits than ``sys.get_int_max_str_digits()``
-lets ``str`` print, or a ``--point`` coordinate whose decimal exponent
-alone puts it past that many digits) gives ``domain_error``.  A negative
+``--bound`` below 0 or above 10^4, or an integer flag with more digits
+than ``sys.get_int_max_str_digits()`` lets ``int`` read, or a theorem1
+or theorem2 parameter whose N, or one of whose witness point
+coordinates, would have more digits than that lets ``str`` print, or a
+``--point`` coordinate whose decimal exponent alone puts it past that
+many digits) gives ``domain_error``.  A negative
 fraction must be joined to its flag, as in ``--u=-5/3``: argparse reads
 ``--u -5/3`` as a missing value and exits 2 with a usage error.
 Negative integers such as ``--m -2`` parse either way.
@@ -78,6 +80,19 @@ def _rational(text: str, what: str) -> Fraction:
     return r
 
 
+def _integer(text: str) -> int:
+    """int(text), the type of every integer flag.  A decimal integer too long
+    for int to read is a domain_error; anything else int rejects stays
+    argparse's usage error (exit 2), with the message int itself would get."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[-+]?\d+(?:_\d+)*\s*", text):
+            limit = sys.get_int_max_str_digits()
+            raise CliError("domain_error", f"an integer has more than {limit} digits") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_point(curve: Curve, text: str) -> Point:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
@@ -135,6 +150,10 @@ def _witness(args, curve: Curve, points: list[Point], parts: list[int], u=None) 
     parts, N's factors from the specialization, feed the descent.
     theorem2 passes its parameter u, which adds "u" and "N_of_u".
     """
+    # a point can have more digits than N: P2 of theorem1 has about 5/4 as many
+    _check_digits("a point coordinate", (
+        n for p in points for c in (p.x, p.y) for n in (c.numerator, c.denominator)
+    ))
     N = -curve.b
     descent = rank_lower_bound(N, args.bound, extra_points=points, parts=parts)
     reg = regulator_report(points)
@@ -156,17 +175,21 @@ def _witness(args, curve: Curve, points: list[Point], parts: list[int], u=None) 
 _ten_to = cache(partial(pow, 10))  # 10**limit, once per limit value
 
 
+def _check_digits(what: str, values) -> None:
+    """domain_error if one of the integers values has more digits than str()
+    prints (0: no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= _ten_to(limit) for v in values):
+        raise CliError("domain_error", f"{what} would have more than {limit} digits")
+
+
 def _check_n_digits(params: tuple[int, ...], n_form) -> None:
     """domain_error, before any specialization, if N, the form n_form at
-    params, has more digits than str() prints (0: no limit).  N is at least
-    its largest |parameter| (for theorem2, f1 >= max(|p|, q) and
-    f2..f4 >= 1: families.euler_degenerate), so a parameter past the limit
-    needs no N."""
-    limit = sys.get_int_max_str_digits()
-    if limit and (
-        max(map(abs, params)) >= _ten_to(limit) or n_form.evaluate(*params) >= _ten_to(limit)
-    ):
-        raise CliError("domain_error", f"N would have more than {limit} digits")
+    params, has more digits than str() prints.  N is at least its largest
+    |parameter| (for theorem2, f1 >= max(|p|, q) and f2..f4 >= 1:
+    families.euler_degenerate), so a parameter past the limit needs no N."""
+    _check_digits("N", params)
+    _check_digits("N", [n_form.evaluate(*params)])
 
 
 def cmd_theorem1(args) -> int:
@@ -232,32 +255,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("theorem1", help="rank >= 2 witness at integers (m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10, help="quartic-space search bound")
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--bound", type=_integer, default=10, help="quartic-space search bound")
     common(p)
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser("theorem2", help="rank >= 4 witness at rational u")
     p.add_argument("--u", required=True, help='rational parameter, e.g. "2" or "5/3"')
-    p.add_argument("--bound", type=int, default=2, help="quartic-space search bound")
+    p.add_argument("--bound", type=_integer, default=2, help="quartic-space search bound")
     common(p)
     p.set_defaults(func=cmd_theorem2)
 
     p = sub.add_parser("search", help="twin fourth-power representations")
-    p.add_argument("--limit", type=int, required=True, help="largest b in a^4 + b^4")
+    p.add_argument("--limit", type=_integer, required=True, help="largest b in a^4 + b^4")
     common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("descent", help="square-class rank lower bound")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--bound", type=_integer, default=10)
     p.add_argument("--points-file", help="JSON-lines file of extra points on y^2 = x^3 - N*x")
     common(p)
     p.set_defaults(func=cmd_descent)
 
     p = sub.add_parser("height", help="canonical height of a point")
-    p.add_argument("--curve", type=int, required=True, help="coefficient b of y^2 = x^3 + b*x")
+    p.add_argument("--curve", type=_integer, required=True, help="coefficient b of y^2 = x^3 + b*x")
     p.add_argument("--point", required=True, help='point as "(x,y)" with rational coordinates')
     common(p)
     p.set_defaults(func=cmd_height)
@@ -272,8 +295,9 @@ def _fail(status: str, exc: Exception, exit_code: int = 1) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # argparse passes a CliError from a type function on to here
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         return _fail(exc.code, exc)

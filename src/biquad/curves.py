@@ -165,20 +165,26 @@ def torsion_kind(b: int) -> TorsionKind:
     return TorsionKind.Z2
 
 
-def transfer_from_associated(q: Point) -> Point:
-    """Map a point on y^2 = x^3 + 4N*x back to y^2 = x^3 - N*x.
+def dual_isogeny(X, Y, Z, b4):
+    """The map from y^2 = x^3 + b4*x to y^2 = x^3 - (b4/4)*x, in weighted
+    coordinates (x/z^2, y/z^3): (X, Y, Z) -> (Y^2, X*Y*(X^2 - b4*Z^4), 2*X*Z).
 
-    Composition of the dual 2-isogeny (X, Y) -> (Y^2/X^2, Y(X^2-4N)/X^2)
-    with the scaling (x, y) -> (x/4, y/8).  (0, 0) and the identity map
-    to the identity.
+    It is the 2-isogeny (x, y) -> (y^2/x^2, y(x^2 - b4)/x^2), onto
+    y^2 = x^3 - 4*b4*x, followed by the scaling (x, y) -> (x/4, y/8).  Only
+    ring operations are used, so X, Y, Z and b4 may be ints, Fractions or
+    binary forms.  At X = 0, the kernel, z is 0: the caller handles it.
     """
+    return Y**2, X * Y * (X**2 - b4 * Z**4), 2 * X * Z
+
+
+def transfer_from_associated(q: Point) -> Point:
+    """Map a point on y^2 = x^3 + 4N*x back to y^2 = x^3 - N*x by
+    ``dual_isogeny``.  (0, 0) and the identity map to the identity."""
     c = q.curve
     if c.b % 4 != 0:
         raise CurveUsageError("source curve must be y^2 = x^3 + 4N*x")
     target = Curve(-c.b // 4)
     if q.is_identity or q.x == 0:
         return target.identity()
-    X, Y = q.x, q.y
-    x = Y * Y / (4 * X * X)
-    y = Y * (X * X - c.b) / (8 * X * X)
-    return Point(target, x, y)
+    x, y, z = dual_isogeny(q.x, q.y, 1, c.b)
+    return Point(target, x / z**2, y / z**3)

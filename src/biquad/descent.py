@@ -252,21 +252,26 @@ def _subgroup(classes: set[int]) -> set[int]:
     return group
 
 
-def _point_classes(points, expect_b: int, primes) -> set[int]:
-    classes = set()
+def _point_classes(points, N: int) -> dict[int, list]:
+    """The points' classes, keyed by their curve's B, -N or 4N: each x != 0
+    stands for its own class until the primes reduce it.  The 2-torsion
+    point (0, 0) has the class of B, which the descent adds on its own.
+
+    A point on any other curve, or not on its curve, is a CurveUsageError.
+    """
+    xs = {-N: [], 4 * N: []}
     for p in points:
         if p.is_identity:
             continue
-        if p.curve.b != expect_b:
+        if p.curve.b not in xs:
             raise CurveUsageError(
-                f"extra point lies on b={p.curve.b}, expected b={expect_b}"
+                f"extra point lies on b={p.curve.b}, expected b={-N} or b={4 * N}"
             )
         if not on_curve(p.curve, p):
             raise CurveUsageError(f"extra point ({p.x}, {p.y}) is not on the curve")
-        if p.x == 0:
-            continue  # 2-torsion; its class is that of B, added separately
-        classes.add(kernel_over(p.x, primes))
-    return classes
+        if p.x != 0:
+            xs[p.curve.b].append(p.x)
+    return xs
 
 
 def check_n(N: int) -> None:
@@ -282,8 +287,8 @@ def rank_lower_bound(
 
     Collects square classes of x-coordinates from quartic-space searches
     on the curve (B = -N) and its associated curve (B = 4N), plus the
-    2-torsion class of B on each, plus any supplied points (which must lie
-    on B = -N).  Bound: log2(s * s') - 2.
+    2-torsion class of B on each, plus any supplied points, each counted
+    on the curve it lies on.  Bound: log2(s * s') - 2.
 
     parts, integers whose product is N (default [N]), are factored one by
     one; the primes of N are the union of theirs, each counted once.
@@ -294,28 +299,25 @@ def rank_lower_bound(
     parts = [N] if parts is None else list(parts)
     if math.prod(parts) != N:
         raise ArithDomainError(f"parts {parts} do not multiply to N = {N}")
-    b_e, b_e4 = -N, 4 * N
+    xs = _point_classes(extra_points, N)  # before any factoring: a bad point fails fast
     # via the module, so wrappers see it
-    primes_e = sorted({p for part in parts for p in arith.factorize(part)})
-    primes_e4 = sorted({2, *primes_e})
-
-    sols_e = search_solutions(b_e, height_bound, primes_e, _certified=True)
-    sols_e4 = search_solutions(b_e4, height_bound, primes_e4, _certified=True)
-
-    # each solution's d is a signed squarefree divisor: its own class
-    classes_e = {s.d for s in sols_e if s.h_val != 0} | {kernel_over(b_e, primes_e)}
-    classes_e4 = {s.d for s in sols_e4 if s.h_val != 0} | {kernel_over(b_e4, primes_e4)}
-    group_e = _subgroup(classes_e | _point_classes(extra_points, b_e, primes_e))
-    group_e4 = _subgroup(classes_e4)
-    s, s_prime = len(group_e), len(group_e4)
-    bound = max(s.bit_length() + s_prime.bit_length() - 2 - 2, 0)
+    primes = sorted({p for part in parts for p in arith.factorize(part)})
+    sides = []  # (solutions, classes) on the curve, then on its associate
+    for B, primes_b in {-N: primes, 4 * N: sorted({2, *primes})}.items():
+        sols = search_solutions(B, height_bound, primes_b, _certified=True)
+        # each solution's d is a signed squarefree divisor: its own class
+        classes = {s.d for s in sols if s.h_val != 0} | {kernel_over(B, primes_b)}
+        group = _subgroup(classes | {kernel_over(x, primes_b) for x in xs[B]})
+        sides.append((sols, sorted(group, key=lambda c: (abs(c), c < 0))))
+    (sols_e, classes_e), (sols_e4, classes_e4) = sides
+    s, s_prime = len(classes_e), len(classes_e4)
     return DescentReport(
         n=N,
-        classes_e=sorted(group_e, key=lambda c: (abs(c), c < 0)),
-        classes_e4=sorted(group_e4, key=lambda c: (abs(c), c < 0)),
+        classes_e=classes_e,
+        classes_e4=classes_e4,
         s=s,
         s_prime=s_prime,
-        rank_lower_bound=bound,
+        rank_lower_bound=max(s.bit_length() + s_prime.bit_length() - 2 - 2, 0),
         solutions_e=sols_e,
         solutions_e4=sols_e4,
     )

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import ArithDomainError
-from .curves import Curve, Point
+from .curves import Curve, Point, dual_isogeny
 from .poly import BinaryForm, PolyUsageError
 
 UW = ("u", "w")
@@ -137,29 +137,18 @@ def euler_associated_points() -> tuple[ParametricPoint, ParametricPoint]:
     return q1, q2
 
 
-def transfer_parametric(q: ParametricPoint, n_expr: BinaryForm) -> ParametricPoint:
-    """Symbolic version of the dual-isogeny transfer from y^2 = x^3 + 4Nx.
-
-    (X, Y) -> (Y^2/(4X^2), Y(X^2 - 4N)/(8X^2)) as in
-    ``curves.transfer_from_associated``; in weighted coordinates this is
-    (X, Y, Z) -> (Y^2, X*Y*(X^2 - 4N*Z^4), 2*X*Z).
-    """
-    X, Y, Z = q.x, q.y, q.z
-    return ParametricPoint(Y**2, X * Y * (X**2 - 4 * n_expr * Z**4), 2 * X * Z)
-
-
 @cache
 def euler_family_points() -> tuple[ParametricPoint, ...]:
     """The four parametric points on y^2 = x^3 - N*x.
 
     The first two come from quartic-space solutions on the curve itself;
-    the last two are the symbolic transfers of Q2 and Q1.
+    the last two are the images of Q2 and Q1 under the dual isogeny.
     """
     p1 = ParametricPoint(F2 * F4, U**2 * Y1FAC * F2 * F4, W)
     p2 = ParametricPoint(-(A**2), A * B**2, BinaryForm.const(UW, 1))
     q1, q2 = euler_associated_points()
-    en = euler_n_poly()
-    return p1, p2, transfer_parametric(q2, en), transfer_parametric(q1, en)
+    b4 = 4 * euler_n_poly()
+    return p1, p2, *(ParametricPoint(*dual_isogeny(q.x, q.y, q.z, b4)) for q in (q2, q1))
 
 
 def printed_transfer_x() -> tuple[tuple[BinaryForm, BinaryForm], ...]:

@@ -34,6 +34,13 @@ def family_curve_points(m, n):
     return tuple(points)
 
 
+def specialize_on(curve, pt, s, t):
+    """The parametric point pt at (s, t), as (X/Z^2, Y/Z^3) on curve: for
+    Q1 and Q2 that is the associated curve, where specialization does not go."""
+    X, Y, Z = (f.evaluate(s, t) for f in (pt.x, pt.y, pt.z))
+    return curve.point(Fraction(X, Z * Z), Fraction(Y, Z**3))
+
+
 def random_family_point(rng: random.Random, max_param=6, max_coeff=2):
     """A nontorsion point on a random curve of the family."""
     while True:

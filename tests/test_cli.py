@@ -225,6 +225,14 @@ class TestDescent:
         assert doc["status"] == "parse_error"
         assert str(path) in doc["error"]
 
+    def test_points_file_reads_e_only(self, capsys, tmp_path):
+        # the library counts points on y^2 = x^3 + 4N*x; the file does not
+        path = tmp_path / "pts.jsonl"
+        path.write_text(json.dumps(Curve(68).point(18, 84).to_json()) + "\n")
+        code, doc = run_cli(capsys, "descent", "--N", "17", "--points-file", str(path))
+        assert (code, doc["status"]) == (1, "parse_error")
+        assert ":1:" in doc["error"]
+
     def test_missing_file(self, capsys):
         code, doc = run_cli(capsys, "descent", "--N", "17", "--points-file", "/nope")
         assert code == 1
@@ -312,6 +320,74 @@ def test_one_rational_parser():
         )
 
     assert fraction_calls(tree) == fraction_calls(rational) != []
+
+
+def test_one_int_reader():
+    """No flag reads an integer with int itself: int's length error would
+    reach argparse as a usage error (exit 2), not a domain_error."""
+    tree = ast.parse(Path(biquad.cli.__file__).read_text())
+    types = [
+        getattr(kw.value, "id", None) for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "add_argument"
+        for kw in n.keywords if kw.arg == "type"
+    ]
+    assert "_integer" in types and "int" not in types
+
+
+BIG = "9" * (sys.get_int_max_str_digits() + 100)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("descent", "--N", BIG),
+        ("descent", "--N", "17", "--bound", BIG),
+        ("theorem1", "--m", BIG, "--n", "1"),
+        ("theorem1", "--m", "2", "--n", f"-{BIG}"),
+        ("theorem1", "--m", "2", "--n", "1", "--bound", BIG),
+        ("theorem2", "--u", "2", "--bound", BIG),
+        ("search", "--limit", BIG),
+        ("height", "--curve", f"-{BIG}", "--point", "(0,0)"),
+    ],
+    ids=lambda argv: " ".join(a if len(a) < 20 else "BIG" for a in argv),
+)
+def test_integer_flag_past_the_digit_limit(capsys, argv):
+    """int rejects a decimal string past sys.get_int_max_str_digits(); argparse
+    turned that into a usage message and exit 2."""
+    code, doc = run_cli(capsys, *argv)
+    assert (code, doc) == (1, {
+        "status": "domain_error",
+        "error": f"an integer has more than {sys.get_int_max_str_digits()} digits",
+    })
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0x10", "1__0", ""])
+def test_integer_flag_parse_error_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", "--m", value, "--n", "1"])
+    assert exc.value.code == 2
+    assert f"argument --m: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorem1", "--m", "1" + "0" * 1000, "--n", "1"),  # N 4001 digits, P2's y 5001
+        ("theorem2", "--u", "1e150"),  # N 4201 digits, P4's y about 6150
+    ],
+    ids=["theorem1", "theorem2"],
+)
+def test_unprintable_witness_point_rejected_before_descent(capsys, monkeypatch, argv):
+    """N fits the digit limit but a point does not, so the output could never
+    be printed; the descent factored N for more than 15 s first."""
+    monkeypatch.setattr(biquad.cli, "rank_lower_bound", None)  # never reached
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, doc) == (1, {
+        "status": "domain_error",
+        "error": f"a point coordinate would have more than {sys.get_int_max_str_digits()} digits",
+    })
 
 
 @pytest.mark.parametrize(

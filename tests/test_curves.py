@@ -12,6 +12,7 @@ from biquad.curves import (
     Point,
     TorsionKind,
     add,
+    dual_isogeny,
     on_curve,
     scalar_mul,
     torsion_kind,
@@ -204,6 +205,10 @@ class TestAssociatedAndTransfer:
         p = transfer_from_associated(q)
         assert (p.x, p.y) == (Fraction(49, 9), Fraction(224, 27))
         assert p.curve == E17
+
+    def test_dual_isogeny_on_ints(self):
+        # weighted coordinates: (7056/36^2, 387072/36^3) = (49/9, 224/27)
+        assert dual_isogeny(18, 84, 1, 68) == (7056, 387072, 36)
 
     def test_transfer_kernel(self):
         e4 = Curve(68)

@@ -17,8 +17,14 @@ from biquad.descent import (
     search_solutions,
     verify_solution,
 )
-from biquad.families import euler_family_points, specialize_euler
-from conftest import squarefree_part
+from biquad.families import (
+    F2,
+    F3,
+    euler_associated_points,
+    euler_family_points,
+    specialize_euler,
+)
+from conftest import specialize_on, squarefree_part
 
 
 def exhaustive_oracle(B, bound):
@@ -277,6 +283,37 @@ class TestRankLowerBound:
         p = Point(Curve(-17), Fraction(2), Fraction(1))
         with pytest.raises(CurveUsageError):
             rank_lower_bound(17, 10, extra_points=[p])
+
+    @pytest.mark.parametrize(
+        "b, x, y",
+        [(-17, 2, 1), (68, 2, 1), (-2, -1, 1)],  # off E, off E', on a third curve
+    )
+    def test_points_checked_before_factoring(self, monkeypatch, b, x, y):
+        def factorize(n):
+            raise AssertionError("factored before the points were checked")
+
+        monkeypatch.setattr(descent.arith, "factorize", factorize)
+        p = Point(Curve(b), Fraction(x), Fraction(y))
+        with pytest.raises(CurveUsageError):
+            rank_lower_bound(17, 10, extra_points=[p])
+
+    def test_associated_point_counts_on_e4(self):
+        # (18, 84) on y^2 = x^3 + 68x has class 2, which the search finds
+        r = rank_lower_bound(17, 10, extra_points=[Curve(68).point(18, 84)])
+        assert r == rank_lower_bound(17, 10)
+
+    def test_euler_points_on_both_curves(self):
+        # with no search, Q1(2) and Q2(2) on E' alone give the classes 2 and
+        # f2*f3 at (2, 1); the family's four points on E add the rest
+        curve, points, parts = specialize_euler(euler_family_points(), 2)
+        N, e4 = -curve.b, Curve(-4 * curve.b)
+        qs = [specialize_on(e4, q, 2, 1) for q in euler_associated_points()]
+        r = rank_lower_bound(N, 0, extra_points=qs, parts=parts)
+        assert F2.evaluate(2, 1) * F3.evaluate(2, 1) == 27233
+        assert {2, 27233} <= set(r.classes_e4)
+        assert (r.s, r.s_prime) == (2, 8)
+        r = rank_lower_bound(N, 0, extra_points=[*qs, *points], parts=parts)
+        assert (r.s, r.s_prime, r.rank_lower_bound) == (8, 8, 4)
 
     def test_json_format(self):
         obj = rank_lower_bound(17, 10).to_json()

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
 
-from biquad.curves import Curve, on_curve
+from biquad.curves import Curve, on_curve, transfer_from_associated
 from biquad.families import (
     DegenerateSpecializationError,
     ParametricPoint,
@@ -27,7 +27,7 @@ from biquad.families import (
     verify_parametric_point,
 )
 from biquad.poly import BinaryForm, PolyUsageError
-from conftest import euler_parts_oracle
+from conftest import euler_parts_oracle, specialize_on
 
 UW = ("u", "w")
 
@@ -171,6 +171,19 @@ class TestEulerFamilyPoints:
         assert same_x(p3, *x3)
         assert same_x(p4, *x4)
         assert not same_x(p3, *x4)
+
+    def test_p3_p4_are_the_point_map_of_q2_q1(self, rng):
+        # the forms of P3 and P4 and transfer_from_associated share one
+        # dual isogeny; at each u both give the same points
+        q1, q2 = euler_associated_points()
+        for u in _non_degenerate_u(rng, 20):
+            curve, (_, _, p3, p4), _ = specialize_euler(euler_family_points(), u)
+            associate = Curve(-4 * curve.b)
+            images = [
+                transfer_from_associated(specialize_on(associate, q, u.numerator, u.denominator))
+                for q in (q2, q1)
+            ]
+            assert images == [p3, p4]
 
     def test_specialize_u2(self):
         expected = [
