@@ -4,12 +4,12 @@ Every subcommand prints a single JSON document on stdout (integers as
 decimal strings), diagnostics go to stderr, and the exit code is 0 iff
 the status is ok.  Bad input gets a typed status and exit code 1; an
 argument outside a function's domain (such as ``descent --N 1``, or a
-``--bound`` below 0 or above 10^4, or an integer flag with more digits
-than ``sys.get_int_max_str_digits()`` lets ``int`` read, or a theorem1
-or theorem2 parameter whose N, or one of whose witness point
-coordinates, would have more digits than that lets ``str`` print, or a
-``--point`` coordinate whose decimal exponent alone puts it past that
-many digits) gives ``domain_error``.  A negative
+``--bound`` below 0 or above 10^4, or an integer flag or a digit run of
+a rational with more digits than ``sys.get_int_max_str_digits()`` lets
+``int`` read, or a theorem1 or theorem2 parameter whose N, or one of
+whose witness point coordinates, would have more digits than that lets
+``str`` print, or a ``--point`` coordinate whose decimal exponent alone
+puts it past that many digits) gives ``domain_error``.  A negative
 fraction must be joined to its flag, as in ``--u=-5/3``: argparse reads
 ``--u -5/3`` as a missing value and exits 2 with a usage error.
 Negative integers such as ``--m -2`` parse either way.
@@ -64,17 +64,29 @@ def _emit(payload: dict, status: str = "ok", pretty: bool = False) -> int:
 
 
 def _rational(text: str, what: str) -> Fraction:
-    """text as Fraction reads it, without the 10**exp Fraction would build
-    first: the mantissa has fewer than len(text) digits, so |exp| > limit +
-    len(text) puts the numerator or denominator past the limit of what str()
-    prints (a domain_error naming what) unless the mantissa is 0."""
+    """text as Fraction reads it, with two guards on size.
+
+    A run of more digits than int reads is read as 1.  Fraction rejects
+    every text with such a run, so one that parses after the swap is a
+    domain_error, and one that still does not (bad syntax, or 1/0) a
+    parse_error.  No 10**exp is built first: the mantissa has fewer than
+    len(text) digits, so |exp| > limit + len(text) puts the numerator or
+    denominator past the limit of what str() prints (a domain_error naming
+    what) unless the mantissa is 0."""
     limit = sys.get_int_max_str_digits()
-    m = re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", text, re.IGNORECASE | re.DOTALL)
+    short = re.sub(
+        r"\d+(?:_\d+)*",
+        lambda run: "1" if 0 < limit < len(run[0].replace("_", "")) else run[0],
+        text,
+    )
+    m = re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", short, re.IGNORECASE | re.DOTALL)
     try:
-        huge = bool(limit and m) and abs(int(m[2])) > limit + len(text)
-        r = Fraction(m[1] + "e0" if huge else text)  # the mantissa, parsed as in text
+        huge = bool(limit and m) and abs(int(m[2])) > limit + len(short)
+        r = Fraction(m[1] + "e0" if huge else short)  # the mantissa, parsed as in text
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError("parse_error", f"bad rational {text!r}") from exc
+    if short != text:
+        raise CliError("domain_error", f"an integer has more than {limit} digits")
     if huge and r:
         raise CliError("domain_error", f"{what} would have more than {limit} digits")
     return r

@@ -1,4 +1,4 @@
-"""Curves y^2 = x^3 + b*x over Q: group law, torsion, 2-isogeny.
+"""Curves y^2 = x^3 + b*x over Q: group law, torsion, lifts, 2-isogeny.
 
 Every curve of the paper has this form, with b = -N or its associated
 b = 4N, so it is the only model here.  Points are exact
@@ -163,6 +163,13 @@ def torsion_kind(b: int) -> TorsionKind:
     if b < 0 and is_perfect_square(-b):
         return TorsionKind.Z2XZ2
     return TorsionKind.Z2
+
+
+def lift(d, U, V, H):
+    """The solution (U, V, H) of d*U^4 + e*V^4 = H^2 as the point (d*U^2/V^2,
+    d*U*H/V^3) of y^2 = x^3 + d*e*x (Silverman-Tate III.5), in weighted
+    coordinates and by ring operations only, as in ``dual_isogeny``."""
+    return d * U**2, d * U * H, V
 
 
 def dual_isogeny(X, Y, Z, b4):

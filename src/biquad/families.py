@@ -13,6 +13,11 @@ and in (u, w) for Euler's, whose parameter is the ratio u/w.
   carries four parametric points.  P2 and P4 are the general family's P1
   and P2 at (m, n) = (B, A).
 
+Every family point is the lift (``curves.lift``) of a row (d, e, U, V, H)
+of ``SOLUTIONS``, a solution of d*U^4 + e*V^4 = H^2 with d*e = -N on the
+curve or d*e = 4N on the associated curve, from which ``dual_isogeny``
+brings it back.  The sign of H is the sign of y; the suite checks the rows.
+
 A point is kept in weighted coordinates: three forms (x, y, z) standing
 for (x/z^2, y/z^3), with deg x - 2 deg z = 14 and deg y - 3 deg z = 21 on
 the Euler curve.  Every identity is then an exact equality of
@@ -35,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import ArithDomainError
-from .curves import Curve, Point, dual_isogeny
+from .curves import Curve, Point, dual_isogeny, lift
 from .poly import BinaryForm, PolyUsageError
 
 UW = ("u", "w")
@@ -105,50 +110,63 @@ def euler_n(u) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# General family points
+# Quartic-space solutions and the points they lift to
 # ---------------------------------------------------------------------------
 
 
+M4N4 = M**4 + N**4  # the general family's N
+_ONE_MN, _ONE_UW = BinaryForm.const(MN, 1), BinaryForm.const(UW, 1)
+
+# name: (d, e, U, V, H), in the suite's order; the associated rows give
+# general P2 and Euler's Q1, Q2, and powers of w pad to one degree
+SOLUTIONS = {
+    "general-space-d-minus1": (-1, M4N4, N, _ONE_MN, -(M**2)),
+    "general-space-d2-associated": (2, 2 * M4N4, M + N, _ONE_MN, 2 * (M**2 + M * N + N**2)),
+    "euler-space-d-f2f4": (F2 * F4, -(F1 * F3), _ONE_UW, W, U**2 * Y1FAC),
+    "euler-space-d-minus1": (-1, euler_n_poly(), A, _ONE_UW, -(B**2)),
+    "euler-space-d2-associated":
+        (2, 2 * euler_n_poly(), A + B, _ONE_UW, 2 * (A**2 + A * B + B**2)),
+    "euler-space-d4f2f3-associated": (4 * F2 * F3, F1 * F4, U, W**2, T10),
+}
+
+
+def _lift(name: str) -> ParametricPoint:
+    d, _, u, v, h = SOLUTIONS[name]
+    return ParametricPoint(*lift(d, u, v, h))
+
+
+def _transfer(q: ParametricPoint, n: BinaryForm) -> ParametricPoint:
+    """The image on y^2 = x^3 - n*x of q on y^2 = x^3 + 4n*x."""
+    return ParametricPoint(*dual_isogeny(q.x, q.y, q.z, 4 * n))
+
+
 def general_n_poly() -> BinaryForm:
-    return BinaryForm(MN, [1, 0, 0, 0, 1])
+    return M4N4
 
 
 @cache
 def general_family_points() -> tuple[ParametricPoint, ParametricPoint]:
     """P1 = (-n^2, m^2 n) and the transferred point P2 on y^2 = x^3 - (m^4+n^4)x."""
-    p1 = ParametricPoint(-(N**2), M**2 * N, BinaryForm.const(MN, 1))
-    s = M**2 + M * N + N**2
-    p2y = M * N * s * (2 * M**2 + 3 * M * N + 2 * N**2)
-    p2 = ParametricPoint(s**2, p2y, M + N)
-    return p1, p2
-
-
-# ---------------------------------------------------------------------------
-# Euler family points
-# ---------------------------------------------------------------------------
+    q = _lift("general-space-d2-associated")
+    return _lift("general-space-d-minus1"), _transfer(q, M4N4)
 
 
 def euler_associated_points() -> tuple[ParametricPoint, ParametricPoint]:
     """Q1, Q2 on the associated curve y^2 = x^3 + 4*N*x."""
-    h = A + B
-    one = BinaryForm.const(UW, 1)
-    q1 = ParametricPoint(2 * h**2, 4 * h * (A**2 + A * B + B**2), one)
-    q2 = ParametricPoint(4 * U**2 * F2 * F3, 4 * U * F2 * F3 * T10, W**2)
-    return q1, q2
+    return _lift("euler-space-d2-associated"), _lift("euler-space-d4f2f3-associated")
 
 
 @cache
 def euler_family_points() -> tuple[ParametricPoint, ...]:
     """The four parametric points on y^2 = x^3 - N*x.
 
-    The first two come from quartic-space solutions on the curve itself;
-    the last two are the images of Q2 and Q1 under the dual isogeny.
+    The first two are lifted on the curve itself; the last two are the
+    images of Q2 and Q1 under the dual isogeny.
     """
-    p1 = ParametricPoint(F2 * F4, U**2 * Y1FAC * F2 * F4, W)
-    p2 = ParametricPoint(-(A**2), A * B**2, BinaryForm.const(UW, 1))
     q1, q2 = euler_associated_points()
-    b4 = 4 * euler_n_poly()
-    return p1, p2, *(ParametricPoint(*dual_isogeny(q.x, q.y, q.z, b4)) for q in (q2, q1))
+    n = euler_n_poly()
+    p1, p2 = _lift("euler-space-d-f2f4"), _lift("euler-space-d-minus1")
+    return p1, p2, _transfer(q2, n), _transfer(q1, n)
 
 
 def printed_transfer_x() -> tuple[tuple[BinaryForm, BinaryForm], ...]:
@@ -266,17 +284,9 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     results.append(("euler-n-equals-a4-plus-b4", en == a**4 + B**4))
     results.append(("euler-n-equals-c4-plus-d4", en == C**4 + D**4))
 
+    spaces = [(name, d * u**4 + e * v**4 == h**2) for name, (d, e, u, v, h) in SOLUTIONS.items()]
     gn = general_n_poly()
-    results.append(
-        ("general-space-d-minus1", -(N**4) + gn == (M**2) ** 2)
-    )
-    results.append(
-        (
-            "general-space-d2-associated",
-            2 * (M + N) ** 4 + 2 * gn
-            == (2 * (M**2 + N**2 + M * N)) ** 2,
-        )
-    )
+    results += spaces[:2]  # the general rows
     p1g, p2g = general_family_points()
     results.append(("general-p1-on-curve", verify_parametric_point(p1g, -gn)))
     results.append(("general-p2-on-curve", verify_parametric_point(p2g, -gn)))
@@ -293,23 +303,5 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     results.append(("transfer-q2-gives-x3", same_x(p3, *x3)))
     results.append(("transfer-q1-gives-x4", same_x(p4, *x4)))
 
-    # quartic-space left sides on the Euler curve and its associate are
-    # exact squares of integer forms (the H of each solution); the gaps in
-    # degree are padded with powers of w
-    results.append(
-        ("euler-space-d-f2f4", F2 * F4 - W**4 * F1 * F3 == (U**2 * Y1FAC) ** 2)
-    )
-    results.append(("euler-space-d-minus1", -(A**4) + en == (B**2) ** 2))
-    results.append(
-        (
-            "euler-space-d2-associated",
-            2 * (A + B) ** 4 + 2 * en == (2 * (A**2 + A * B + B**2)) ** 2,
-        )
-    )
-    results.append(
-        (
-            "euler-space-d4f2f3-associated",
-            4 * U**4 * F2 * F3 + W**8 * F1 * F4 == T10**2,
-        )
-    )
+    results += spaces[2:]
     return results

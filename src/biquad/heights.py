@@ -88,9 +88,13 @@ those out, homogenizing and using gcd(u, v) = 1 shows that every g_j
 divides D = 256 |b|^3 / (gcd(b, 3) gcd(b, 16)).  On |x| <= 1 (resp.
 |y| <= 1) the same identities bound max(|F|, |G|) below by the right side
 over the cofactors' absolute coefficient sum (Silverman, Math. Comp. 55,
-1990), so the normalized iteration factor is at least
-
-  c_low = min(16|b|^3 / (21|b| + 15), 16 / (3b^2 + 17|b| + 16)).
+1990), so the normalized iteration factor s is at least
+c_low = min(16|b|^3 / (21|b| + 15), 16 / (3b^2 + 17|b| + 16)), and at
+most c_up = max((1 + |b|)^2, 4(1 + |b|)).  Lemma: 1/c_low < c_up < D for
+|b| >= 1, so |log s| <= log c_up and log D alone sets the iteration
+count.  Indeed 1/c_low = (3b^2 + 17|b| + 16)/16 < (1 + |b|)^2 <= c_up,
+and c_up <= 4(1 + |b|)^2 <= 16b^2 < 256b^2 <= D, since
+gcd(b, 3) gcd(b, 16) = gcd(b, 48) <= |b|.
 
 Torsion in closed form: every torsion point has order dividing 4, and a
 point P = (x, y) is torsion iff y = 0 or x^2 = b.  Indeed 2P = O iff
@@ -103,7 +107,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .curves import CurveUsageError, Point, add
@@ -185,13 +188,7 @@ def _curve_constants(b: int):
     ab = abs(b)
     d_const = 256 * ab**3 // (math.gcd(b, 3) * math.gcd(b, 16))
     c_up = max((1 + ab) ** 2, 4 * (1 + ab))
-    c_low = min(
-        Fraction(16 * ab**3, 21 * ab + 15), Fraction(16, 3 * ab**2 + 17 * ab + 16)
-    )
-    log_bound = max(
-        log_big(c_up), abs(log_big(c_low.numerator) - log_big(c_low.denominator))
-    )
-    return d_const, log_big(d_const), log_bound
+    return d_const, log_big(d_const), log_big(c_up)
 
 
 def _part(n: int, r: int) -> int:
@@ -261,8 +258,8 @@ def canonical_height(p: Point) -> HeightValue:
     b = p.curve.b
     d_const, log_d, log_bound = _curve_constants(b)
 
-    worst = max(log_d, log_bound)  # D >= 256, so n_iter >= 21
-    n_iter = math.ceil(math.log(worst / (3 * _TARGET)) / math.log(4))
+    # log_bound < log_d (module docstring, the lemma); D >= 256, so n_iter >= 21
+    n_iter = math.ceil(math.log(log_d / (3 * _TARGET)) / math.log(4))
 
     u0 = p.x.numerator
     v0 = p.x.denominator

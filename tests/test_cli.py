@@ -348,12 +348,16 @@ BIG = "9" * (sys.get_int_max_str_digits() + 100)
         ("theorem2", "--u", "2", "--bound", BIG),
         ("search", "--limit", BIG),
         ("height", "--curve", f"-{BIG}", "--point", "(0,0)"),
+        ("theorem2", "--u", BIG),
+        ("height", "--curve", "-17", "--point", f"({BIG},1)"),
     ],
     ids=lambda argv: " ".join(a if len(a) < 20 else "BIG" for a in argv),
 )
 def test_integer_flag_past_the_digit_limit(capsys, argv):
     """int rejects a decimal string past sys.get_int_max_str_digits(); argparse
-    turned that into a usage message and exit 2."""
+    turned that into a usage message and exit 2.  Fraction rejects a rational
+    with such a digit run for the same reason, so that is a domain_error too,
+    as --u 1e5000 is, not a parse_error."""
     code, doc = run_cli(capsys, *argv)
     assert (code, doc) == (1, {
         "status": "domain_error",

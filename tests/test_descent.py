@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from biquad import descent
 from biquad.arith import ArithDomainError, factorize, kernel_over
-from biquad.curves import Curve, CurveUsageError, Point
+from biquad.curves import Curve, CurveUsageError, Point, lift
 from biquad.descent import (
     HomSpaceSolution,
     _local_spaces,
@@ -106,6 +106,8 @@ class TestSearch:
                         Fraction(s.d * u * u, v * v), Fraction(s.d * u * h, v**3)
                     )
                     assert kernel_over(p.x, list(factorize(abs(B)))) == s.d
+                    x, y, z = lift(s.d, u, v, h)
+                    assert (Fraction(x, z * z), Fraction(y, z**3)) == (p.x, p.y)
 
     def test_deterministic_order(self):
         sols = search_solutions(-17, 5, [17])

@@ -1,13 +1,25 @@
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
 
+import biquad.families
 from biquad.curves import Curve, on_curve, transfer_from_associated
 from biquad.families import (
+    A,
+    B,
+    F1,
+    F2,
+    F3,
+    F4,
+    SOLUTIONS,
+    T10,
+    Y1FAC,
     DegenerateSpecializationError,
     ParametricPoint,
     euler_associated_points,
@@ -30,6 +42,7 @@ from biquad.poly import BinaryForm, PolyUsageError
 from conftest import euler_parts_oracle, specialize_on
 
 UW = ("u", "w")
+MN = ("m", "n")
 
 
 class TestEulerQuadruple:
@@ -143,6 +156,17 @@ class TestGeneralFamily:
         _, p2 = general_family_points()
         with pytest.raises(DegenerateSpecializationError):
             specialize_general([p2], 1, -1)
+
+    @given(st.integers(-5000, 5000), st.integers(-5000, 5000))
+    def test_p2_closed_form(self, m, n):
+        """P2 is the image under the dual isogeny of the d = 2 row's lift; at
+        each (m, n) it is the paper's point, y-sign included (a flipped H
+        keeps every on-curve identity but fails here)."""
+        assume(m * n * (m + n) != 0 and math.gcd(m, n) == 1)
+        _, [p2], _ = specialize_general(general_family_points()[1:], m, n)
+        s = m * m + m * n + n * n
+        y = Fraction(m * n * s * (2 * m * m + 3 * m * n + 2 * n * n), (m + n) ** 3)
+        assert (p2.x, p2.y) == (Fraction(s * s, (m + n) ** 2), y)
 
     def test_p2_x_is_a_square(self):
         _, p2 = general_family_points()
@@ -294,6 +318,56 @@ class TestParametricPoint:
         pt = ParametricPoint(u, u, u - 2 * w)
         with pytest.raises(DegenerateSpecializationError, match="vanishes at u = 2"):
             specialize_euler([pt], 2)
+
+
+class TestSolutionTable:
+    def test_unchanged_points_keep_their_forms(self):
+        """General P1, Euler P1 and P2, Q1 and Q2 are the lifts of their rows
+        and equal, as forms, the points written out by hand."""
+        m, n = BinaryForm.var(MN, "m"), BinaryForm.var(MN, "n")
+        u, w = BinaryForm.var(UW, "u"), BinaryForm.var(UW, "w")
+        one_mn, one_uw, h = BinaryForm.const(MN, 1), BinaryForm.const(UW, 1), A + B
+        p1, p2, _, _ = euler_family_points()
+        assert general_family_points()[0] == ParametricPoint(-(n**2), m**2 * n, one_mn)
+        assert p1 == ParametricPoint(F2 * F4, u**2 * Y1FAC * F2 * F4, w)
+        assert p2 == ParametricPoint(-(A**2), A * B**2, one_uw)
+        assert euler_associated_points() == (
+            ParametricPoint(2 * h**2, 4 * h * (A**2 + A * B + B**2), one_uw),
+            ParametricPoint(4 * u**2 * F2 * F3, 4 * u * F2 * F3 * T10, w**2),
+        )
+
+    def test_row_products_are_the_curve_coefficients(self):
+        """d*e = -N on the curve and 4N on the associated curve, as forms."""
+        for name, (d, e, *_) in SOLUTIONS.items():
+            n = general_n_poly() if name.startswith("general-") else euler_n_poly()
+            assert d * e == (4 * n if name.endswith("-associated") else -n), name
+
+    def test_one_row_feeds_its_identity_and_its_point(self, monkeypatch):
+        """A wrong H in one row breaks its space identity and its point."""
+        d, e, u, v, h = SOLUTIONS["euler-space-d-f2f4"]
+        with monkeypatch.context() as patch:
+            patch.setitem(SOLUTIONS, "euler-space-d-f2f4", (d, e, u, v, h + v**8))
+            euler_family_points.cache_clear()
+            try:
+                failing = [name for name, ok in identity_suite() if not ok]
+            finally:
+                euler_family_points.cache_clear()
+        assert failing == ["euler-p1-on-curve", "euler-space-d-f2f4"]
+
+    def test_points_only_from_lift_and_transfer(self):
+        """Every ParametricPoint(...) call in families sits inside _lift or
+        _transfer: a point written out by hand would copy a table row."""
+        tree = ast.parse(Path(biquad.families.__file__).read_text())
+        helpers = [f for f in tree.body if getattr(f, "name", None) in ("_lift", "_transfer")]
+
+        def calls(node):
+            return sorted(
+                n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ParametricPoint"
+            )
+
+        assert len(helpers) == 2 and all(calls(f) for f in helpers)
+        assert calls(tree) == sorted(line for f in helpers for line in calls(f))
 
 
 class TestIdentitySuite:

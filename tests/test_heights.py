@@ -624,6 +624,20 @@ class TestCurveConstants:
             if b:
                 assert _curve_constants(b) == self.extgcd_oracle(b), b
 
+    @given(st.integers(-10**40, 10**40).filter(bool))
+    @example(1)
+    @example(-1)
+    @example(48)
+    def test_lower_bound_never_binds(self, b):
+        """The module docstring's lemma, in exact integers: 1/c_low < c_up < D,
+        so log_bound is log c_up and log D alone sets the iteration count."""
+        ab = abs(b)
+        c_low = min(Fraction(16 * ab**3, 21 * ab + 15), Fraction(16, 3 * ab**2 + 17 * ab + 16))
+        c_up = max((1 + ab) ** 2, 4 * (1 + ab))
+        d_const, log_d, log_bound = _curve_constants(b)
+        assert 1 / c_low < c_up < d_const
+        assert log_bound == log_big(c_up) < log_d
+
     def test_closed_form_matches_extgcd_large(self):
         rng = random.Random(20261017)
         for _ in range(40):
