@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -37,12 +38,12 @@ from .arith import ArithDomainError
 from .curves import Curve, Point, on_curve
 from .descent import check_n, rank_lower_bound
 from .families import (
+    EULER_FACTORS,
+    GENERAL_FACTORS,
     DegenerateSpecializationError,
     euler_family_points,
     euler_n,
-    euler_n_poly,
     general_family_points,
-    general_n_poly,
     identity_suite,
     specialize_euler,
     specialize_general,
@@ -195,24 +196,25 @@ def _check_digits(what: str, values) -> None:
         raise CliError("domain_error", f"{what} would have more than {limit} digits")
 
 
-def _check_n_digits(params: tuple[int, ...], n_form) -> None:
-    """domain_error, before any specialization, if N, the form n_form at
-    params, has more digits than str() prints.  N is at least its largest
-    |parameter| (for theorem2, f1 >= max(|p|, q) and f2..f4 >= 1:
-    families.euler_degenerate), so a parameter past the limit needs no N."""
+def _check_n_digits(params: tuple[int, ...], factors) -> None:
+    """domain_error, before any specialization, if N, the product of the
+    family's factor forms at params, has more digits than str() prints.
+    N is at least its largest |parameter| (for theorem2, f1 >= max(|p|, q)
+    and f2..f4 >= 1: families.euler_degenerate), so a parameter past the
+    limit needs no N."""
     _check_digits("N", params)
-    _check_digits("N", [n_form.evaluate(*params)])
+    _check_digits("N", [math.prod(f.evaluate(*params) for f in factors)])
 
 
 def cmd_theorem1(args) -> int:
-    _check_n_digits((args.m, args.n), general_n_poly())
+    _check_n_digits((args.m, args.n), GENERAL_FACTORS)
     curve, points, parts = specialize_general(general_family_points(), args.m, args.n)
     return _witness(args, curve, points, parts)
 
 
 def cmd_theorem2(args) -> int:
     u = _rational(args.u, "N")
-    _check_n_digits((u.numerator, u.denominator), euler_n_poly())
+    _check_n_digits((u.numerator, u.denominator), EULER_FACTORS)
     curve, points, parts = specialize_euler(euler_family_points(), u)
     return _witness(args, curve, points, parts, u)
 

@@ -161,10 +161,11 @@ def search_solutions(
         raise ArithDomainError("B must be nonzero")
     if height_bound > MAX_BOUND:
         raise ArithDomainError(f"height bound {height_bound} exceeds {MAX_BOUND}")
+    primes = sorted(set(primes))  # read once: the check below would spend an iterator
     # the local test at p is a Legendre symbol: p must be prime
     if any(p < 2 or B % p or not (_certified or arith.is_probable_prime(p)) for p in primes):
-        raise ArithDomainError(f"not all of {list(primes)} are primes dividing B = {B}")
-    spaces = _local_spaces(B, sorted(set(primes)))
+        raise ArithDomainError(f"not all of {primes} are primes dividing B = {B}")
+    spaces = _local_spaces(B, primes)
     n = max(height_bound, 0)  # a bound below 1 holds no (u, v)
     S, cofactors = len(spaces), [B // d for d in spaces]
     # column k is d_k modulo each modulus, column S + k its cofactor B/d_k
@@ -219,14 +220,28 @@ def search_solutions(
 
 @dataclass
 class DescentReport:
+    """The found class groups on the curve and on its associated curve,
+    and the solutions behind them.  s and s' are the groups' sizes and
+    the bound log2(s*s') - 2 is read from them, so neither is stored."""
+
     n: int
     classes_e: list[int]
     classes_e4: list[int]
-    s: int
-    s_prime: int
-    rank_lower_bound: int
     solutions_e: list[HomSpaceSolution]
     solutions_e4: list[HomSpaceSolution]
+
+    @property
+    def s(self) -> int:
+        return len(self.classes_e)
+
+    @property
+    def s_prime(self) -> int:
+        return len(self.classes_e4)
+
+    @property
+    def rank_lower_bound(self) -> int:
+        # s and s' are powers of 2: log2(s) = s.bit_length() - 1
+        return max(self.s.bit_length() + self.s_prime.bit_length() - 2 - 2, 0)
 
     def to_json(self) -> dict:
         return {
@@ -297,6 +312,8 @@ def rank_lower_bound(
     check_n(N)
     if height_bound < 0:
         raise ArithDomainError("height bound must be non-negative")
+    if height_bound > MAX_BOUND:  # the search checks it too, but after the factoring
+        raise ArithDomainError(f"height bound {height_bound} exceeds {MAX_BOUND}")
     parts = [N] if parts is None else list(parts)
     if math.prod(parts) != N:
         raise ArithDomainError(f"parts {parts} do not multiply to N = {N}")
@@ -311,14 +328,4 @@ def rank_lower_bound(
         group = _subgroup(classes | {kernel_over(x, primes_b) for x in xs[B]})
         sides.append((sols, sorted(group, key=lambda c: (abs(c), c < 0))))
     (sols_e, classes_e), (sols_e4, classes_e4) = sides
-    s, s_prime = len(classes_e), len(classes_e4)
-    return DescentReport(
-        n=N,
-        classes_e=classes_e,
-        classes_e4=classes_e4,
-        s=s,
-        s_prime=s_prime,
-        rank_lower_bound=max(s.bit_length() + s_prime.bit_length() - 2 - 2, 0),
-        solutions_e=sols_e,
-        solutions_e4=sols_e4,
-    )
+    return DescentReport(N, classes_e, classes_e4, sols_e, sols_e4)

@@ -24,12 +24,14 @@ the Euler curve.  Every identity is then an exact equality of
 polynomials: on the curve y^2 = x^3 + b*x*z^4 with b = -N, or b = 4N on
 the associated curve, and two x-coordinates agree iff x*z'^2 = x'*z^2.
 
-Specialization evaluates the forms at integers in one pass per
-parameter: it decides degeneracy, evaluates N's factors (f1..f4, or
-m^4 + n^4), builds the curve from their product, evaluates each point's
-forms onto it, and returns the curve, the points and the factors.  At
-u = p/q in lowest terms that is the point (p, q): N(p, q) = q^28 N(u) is
-the integral model, and the points land on it with no rescaling.
+Each family's N is one tuple of factor forms: ``GENERAL_FACTORS`` =
+(m^4 + n^4,) and ``EULER_FACTORS`` = (f1, f2, f3, f4).  Specialization
+evaluates the forms at integers in one pass per parameter: it decides
+degeneracy, evaluates the family's factor tuple, builds the curve from
+the product, evaluates each point's forms onto it, and returns the
+curve, the points and the factors' values.  At u = p/q in lowest terms
+that is the point (p, q): N(p, q) = q^28 N(u) is the integral model,
+and the points land on it with no rescaling.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ F1 = BinaryForm(UW, [1, 0, 6, 0, 1])
 F2 = BinaryForm(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
 F3 = BinaryForm(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
 F4 = BinaryForm(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
+M4N4 = M**4 + N**4  # the general family's N
+# each family's N as the tuple of its factor forms, and Euler's N itself
+GENERAL_FACTORS = (M4N4,)
+EULER_FACTORS = (F1, F2, F3, F4)
+EULER_N = F1 * F2 * F3 * F4
 # the forms of degrees 10 and 6 in the points Q2 and P1
 T10 = BinaryForm(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
 Y1FAC = BinaryForm(UW, [-5, 0, 4, 0, 1, 0, 1])
@@ -92,21 +99,11 @@ def euler_quadruple() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
     return A, B, C, D
 
 
-def euler_n_factors() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
-    """The four even factors f1..f4 of N = A^4 + B^4."""
-    return F1, F2, F3, F4
-
-
-@cache
-def euler_n_poly() -> BinaryForm:
-    return F1 * F2 * F3 * F4
-
-
 def euler_n(u) -> Fraction:
     """N(u) = N(p, q)/q^28 for u = p/q, as an exact value."""
     u = Fraction(u)
     p, q = u.numerator, u.denominator
-    return Fraction(euler_n_poly().evaluate(p, q), q**28)
+    return Fraction(EULER_N.evaluate(p, q), q**28)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +111,6 @@ def euler_n(u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-M4N4 = M**4 + N**4  # the general family's N
 _ONE_MN, _ONE_UW = BinaryForm.const(MN, 1), BinaryForm.const(UW, 1)
 
 # name: (d, e, U, V, H), in the suite's order; the associated rows give
@@ -123,9 +119,8 @@ SOLUTIONS = {
     "general-space-d-minus1": (-1, M4N4, N, _ONE_MN, -(M**2)),
     "general-space-d2-associated": (2, 2 * M4N4, M + N, _ONE_MN, 2 * (M**2 + M * N + N**2)),
     "euler-space-d-f2f4": (F2 * F4, -(F1 * F3), _ONE_UW, W, U**2 * Y1FAC),
-    "euler-space-d-minus1": (-1, euler_n_poly(), A, _ONE_UW, -(B**2)),
-    "euler-space-d2-associated":
-        (2, 2 * euler_n_poly(), A + B, _ONE_UW, 2 * (A**2 + A * B + B**2)),
+    "euler-space-d-minus1": (-1, EULER_N, A, _ONE_UW, -(B**2)),
+    "euler-space-d2-associated": (2, 2 * EULER_N, A + B, _ONE_UW, 2 * (A**2 + A * B + B**2)),
     "euler-space-d4f2f3-associated": (4 * F2 * F3, F1 * F4, U, W**2, T10),
 }
 
@@ -138,10 +133,6 @@ def _lift(name: str) -> ParametricPoint:
 def _transfer(q: ParametricPoint, n: BinaryForm) -> ParametricPoint:
     """The image on y^2 = x^3 - n*x of q on y^2 = x^3 + 4n*x."""
     return ParametricPoint(*dual_isogeny(q.x, q.y, q.z, 4 * n))
-
-
-def general_n_poly() -> BinaryForm:
-    return M4N4
 
 
 @cache
@@ -164,16 +155,14 @@ def euler_family_points() -> tuple[ParametricPoint, ...]:
     images of Q2 and Q1 under the dual isogeny.
     """
     q1, q2 = euler_associated_points()
-    n = euler_n_poly()
     p1, p2 = _lift("euler-space-d-f2f4"), _lift("euler-space-d-minus1")
-    return p1, p2, _transfer(q2, n), _transfer(q1, n)
+    return p1, p2, _transfer(q2, EULER_N), _transfer(q1, EULER_N)
 
 
-def printed_transfer_x() -> tuple[tuple[BinaryForm, BinaryForm], ...]:
-    """The closed-form x-coordinates t10^2/(2u*w^2)^2 and
-    (A^2 + AB + B^2)^2/(A + B)^2 of the two transferred points, each as a
-    pair (x, z) standing for x/z^2."""
-    return (T10**2, 2 * U * W**2), ((A**2 + A * B + B**2) ** 2, A + B)
+# the closed-form x-coordinates t10^2/(2u*w^2)^2 and
+# (A^2 + AB + B^2)^2/(A + B)^2 of the two transferred points, each as a
+# pair (x, z) standing for x/z^2
+PRINTED_TRANSFER_X = (T10**2, 2 * U * W**2), ((A**2 + A * B + B**2) ** 2, A + B)
 
 
 def same_x(pt: ParametricPoint, x: BinaryForm, z: BinaryForm) -> bool:
@@ -195,10 +184,12 @@ def verify_parametric_point(pt: ParametricPoint, b: BinaryForm) -> bool:
 
 
 def _specialize(
-    points, parts: list[int], s: int, t: int, where: str
+    points, factors: tuple[BinaryForm, ...], s: int, t: int, where: str
 ) -> tuple[Curve, list[Point], list[int]]:
-    """The curve y^2 = x^3 - N*x with N = prod(parts), and each point's
-    forms at (s, t) on it as (X/Z^2, Y/Z^3)."""
+    """The curve y^2 = x^3 - N*x with N the product of the factor forms
+    at (s, t), each point's forms at (s, t) on it as (X/Z^2, Y/Z^3), and
+    the factors' values."""
+    parts = [f.evaluate(s, t) for f in factors]
     curve = Curve(-math.prod(parts))
     specialized = []
     for pt in points:
@@ -221,8 +212,7 @@ def specialize_general(points, m: int, n: int) -> tuple[Curve, list[Point], list
         raise DegenerateSpecializationError(
             f"(m, n) = ({m}, {n}) is degenerate: m*n = 0"
         )
-    parts = [general_n_poly().evaluate(m, n)]
-    return _specialize(points, parts, m, n, f"(m, n) = ({m}, {n})")
+    return _specialize(points, GENERAL_FACTORS, m, n, f"(m, n) = ({m}, {n})")
 
 
 def euler_degenerate(u) -> str | None:
@@ -257,9 +247,7 @@ def specialize_euler(points, u) -> tuple[Curve, list[Point], list[int]]:
     reason = euler_degenerate(u)
     if reason is not None:
         raise DegenerateSpecializationError(reason)
-    p, q = u.numerator, u.denominator
-    parts = [f.evaluate(p, q) for f in euler_n_factors()]
-    return _specialize(points, parts, p, q, f"u = {u}")
+    return _specialize(points, EULER_FACTORS, u.numerator, u.denominator, f"u = {u}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +268,24 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     results.append(
         ("euler-quadruple-homogeneous-deg7", all(p.degree == 7 for p in (a, B, C, D)))
     )
-    en = euler_n_poly()
-    results.append(("euler-n-equals-a4-plus-b4", en == a**4 + B**4))
-    results.append(("euler-n-equals-c4-plus-d4", en == C**4 + D**4))
+    results.append(("euler-n-equals-a4-plus-b4", EULER_N == a**4 + B**4))
+    results.append(("euler-n-equals-c4-plus-d4", EULER_N == C**4 + D**4))
 
     spaces = [(name, d * u**4 + e * v**4 == h**2) for name, (d, e, u, v, h) in SOLUTIONS.items()]
-    gn = general_n_poly()
     results += spaces[:2]  # the general rows
     p1g, p2g = general_family_points()
-    results.append(("general-p1-on-curve", verify_parametric_point(p1g, -gn)))
-    results.append(("general-p2-on-curve", verify_parametric_point(p2g, -gn)))
+    results.append(("general-p1-on-curve", verify_parametric_point(p1g, -M4N4)))
+    results.append(("general-p2-on-curve", verify_parametric_point(p2g, -M4N4)))
 
     p1, p2, p3, p4 = euler_family_points()
-    results.append(("euler-p1-on-curve", verify_parametric_point(p1, -en)))
-    results.append(("euler-p2-on-curve", verify_parametric_point(p2, -en)))
-    results.append(("euler-p3-on-curve", verify_parametric_point(p3, -en)))
-    results.append(("euler-p4-on-curve", verify_parametric_point(p4, -en)))
+    results.append(("euler-p1-on-curve", verify_parametric_point(p1, -EULER_N)))
+    results.append(("euler-p2-on-curve", verify_parametric_point(p2, -EULER_N)))
+    results.append(("euler-p3-on-curve", verify_parametric_point(p3, -EULER_N)))
+    results.append(("euler-p4-on-curve", verify_parametric_point(p4, -EULER_N)))
     q1, q2 = euler_associated_points()
-    results.append(("euler-q1-on-associated", verify_parametric_point(q1, 4 * en)))
-    results.append(("euler-q2-on-associated", verify_parametric_point(q2, 4 * en)))
-    x3, x4 = printed_transfer_x()
+    results.append(("euler-q1-on-associated", verify_parametric_point(q1, 4 * EULER_N)))
+    results.append(("euler-q2-on-associated", verify_parametric_point(q2, 4 * EULER_N)))
+    x3, x4 = PRINTED_TRANSFER_X
     results.append(("transfer-q2-gives-x3", same_x(p3, *x3)))
     results.append(("transfer-q1-gives-x4", same_x(p4, *x4)))
 

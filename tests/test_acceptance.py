@@ -11,12 +11,12 @@ from fractions import Fraction
 from biquad.curves import Curve, TorsionKind, add, scalar_mul, torsion_kind
 from biquad.descent import rank_lower_bound
 from biquad.families import (
+    EULER_N,
+    M4N4,
+    PRINTED_TRANSFER_X,
     euler_family_points,
-    euler_n_poly,
     general_family_points,
-    general_n_poly,
     identity_suite,
-    printed_transfer_x,
     same_x,
     specialize_euler,
     specialize_general,
@@ -37,7 +37,7 @@ def _report(name, ok, elapsed, budget):
 def test_criterion_1_theorem1_symbolic():
     t0 = time.monotonic()
     p1, p2 = general_family_points()
-    n = general_n_poly()
+    n = M4N4
     wanted = {
         "general-p1-on-curve",
         "general-p2-on-curve",
@@ -56,9 +56,9 @@ def test_criterion_1_theorem1_symbolic():
 def test_criterion_2_theorem2_symbolic():
     t0 = time.monotonic()
     suite = dict(identity_suite())
-    n = euler_n_poly()
+    n = EULER_N
     points = euler_family_points()
-    x3, x4 = printed_transfer_x()
+    x3, x4 = PRINTED_TRANSFER_X
     ok = (
         suite["euler-quadruple-balance"]
         and suite["euler-n-equals-a4-plus-b4"]

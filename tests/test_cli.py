@@ -506,6 +506,23 @@ def test_oversized_bound_rejected_before_search():
     assert json.loads(r.stdout)["status"] == "domain_error"
 
 
+def test_oversized_bound_rejected_before_factoring(capsys, monkeypatch):
+    """Both ends of the bound are checked before N is factored.  The upper
+    end was checked only in the search: this N = nextprime(10^13) *
+    nextprime(3*10^13) took 0.9 s to factor before its domain_error."""
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n})")
+
+    monkeypatch.setattr(biquad.arith, "factorize", no_factoring)
+    N, bound = 300000000001220000000000407, biquad.descent.MAX_BOUND + 1
+    error = f"height bound {bound} exceeds {biquad.descent.MAX_BOUND}"
+    with pytest.raises(biquad.arith.ArithDomainError, match=error):
+        biquad.descent.rank_lower_bound(N, bound)
+    code, doc = run_cli(capsys, "descent", "--N", str(N), "--bound", str(bound))
+    assert (code, doc) == (1, {"status": "domain_error", "error": error})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -563,15 +580,15 @@ def test_n_digit_limit_is_exact(monkeypatch, limit):
     has 4285 digits and N(10^154, 1) 4313.  A limit of 0 is no limit."""
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
     check = biquad.cli._check_n_digits
-    general, euler = biquad.families.general_n_poly(), biquad.families.euler_n_poly()
+    general, euler = biquad.families.GENERAL_FACTORS, biquad.families.EULER_FACTORS
     check((10**1075 - 1, 1), general)
     check((10**153, 1), euler)
-    for params, form in [((10**1075, 1), general), ((10**154, 1), euler)]:
+    for params, factors in [((10**1075, 1), general), ((10**154, 1), euler)]:
         if limit:
             with pytest.raises(biquad.cli.CliError, match="4300 digits"):
-                check(params, form)
+                check(params, factors)
         else:
-            check(params, form)
+            check(params, factors)
 
 
 def test_readme_cli_examples(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -128,6 +129,15 @@ class TestSearch:
         for primes in ([15], [2, 15]):
             with pytest.raises(ArithDomainError):
                 search_solutions(-60, 3, primes)
+
+    def test_primes_from_any_iterable(self):
+        """The primes are read once: the prime check used to spend an
+        iterator, which left only d = +-1 to search and found none of these."""
+        primes = [41, 113, 241, 569]
+        want = search_solutions(-635318657, 20, primes)
+        assert len(want) == 9
+        for given in (tuple(primes), iter(primes), (p for p in primes)):
+            assert search_solutions(-635318657, 20, given) == want
 
 
 # B = sign * prod p^e from a few small primes: p || B and p^2 | B both occur
@@ -316,6 +326,14 @@ class TestRankLowerBound:
         assert (r.s, r.s_prime) == (2, 8)
         r = rank_lower_bound(N, 0, extra_points=[*qs, *points], parts=parts)
         assert (r.s, r.s_prime, r.rank_lower_bound) == (8, 8, 4)
+
+    def test_sizes_and_bound_read_from_the_classes(self):
+        r = rank_lower_bound(635318657, 20)
+        assert [f.name for f in dataclasses.fields(r)] == [
+            "n", "classes_e", "classes_e4", "solutions_e", "solutions_e4"
+        ]
+        assert (r.s, r.s_prime) == (len(r.classes_e), len(r.classes_e4))
+        assert 2**r.rank_lower_bound == r.s * r.s_prime // 4
 
     def test_json_format(self):
         obj = rank_lower_bound(17, 10).to_json()

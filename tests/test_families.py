@@ -1,6 +1,8 @@
 import ast
+import importlib
 import json
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,15 +10,20 @@ import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
 
+import biquad.cli
 import biquad.families
 from biquad.curves import Curve, on_curve, transfer_from_associated
 from biquad.families import (
     A,
     B,
+    EULER_FACTORS,
+    EULER_N,
     F1,
     F2,
     F3,
     F4,
+    M4N4,
+    PRINTED_TRANSFER_X,
     SOLUTIONS,
     T10,
     Y1FAC,
@@ -26,13 +33,9 @@ from biquad.families import (
     euler_degenerate,
     euler_family_points,
     euler_n,
-    euler_n_factors,
-    euler_n_poly,
     euler_quadruple,
     general_family_points,
-    general_n_poly,
     identity_suite,
-    printed_transfer_x,
     same_x,
     specialize_euler,
     specialize_general,
@@ -90,7 +93,7 @@ class TestEulerN:
 
     def test_symbolic_equals_sums(self):
         a, b, c, d = euler_quadruple()
-        n = euler_n_poly()
+        n = EULER_N
         assert (n - (a**4 + b**4)).is_zero
         assert (n - (c**4 + d**4)).is_zero
 
@@ -103,12 +106,12 @@ class TestEulerN:
         assert euler_n(1) == 272
 
     def test_factors_even(self):
-        for f in euler_n_factors():
+        for f in EULER_FACTORS:
             assert not any(f.coeffs[1::2])
 
     def test_factors_are_forms_of_degree_28(self):
-        assert [f.degree for f in euler_n_factors()] == [4, 8, 8, 8]
-        assert euler_n_poly().degree == 28
+        assert [f.degree for f in EULER_FACTORS] == [4, 8, 8, 8]
+        assert EULER_N.degree == 28
 
     def test_value_is_exact_fraction(self):
         assert euler_n(Fraction(1, 2)) == Fraction(635318657, 2**28)
@@ -118,14 +121,14 @@ class TestEulerN:
         # the identities behind N(p, q) > 0 in euler_degenerate
         u = BinaryForm.var(UW, "u")
         w = BinaryForm.var(UW, "w")
-        _, f2, f3, _ = euler_n_factors()
+        _, f2, f3, _ = EULER_FACTORS
         assert f2 == (u**4 - w**4) ** 2 + u**4 * w**4
         assert f3 == (u**4 - 2 * u**2 * w**2) ** 2 + (2 * u**2 * w**2 - w**4) ** 2
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_factors_positive(self, p, q):
         assume((p, q) != (0, 0))
-        assert all(f.evaluate(p, q) > 0 for f in euler_n_factors())
+        assert all(f.evaluate(p, q) > 0 for f in EULER_FACTORS)
 
     def test_parts_degenerate_rejected(self):
         with pytest.raises(DegenerateSpecializationError):
@@ -135,7 +138,7 @@ class TestEulerN:
 class TestGeneralFamily:
     def test_points_on_curve_symbolically(self):
         p1, p2 = general_family_points()
-        n = general_n_poly()
+        n = M4N4
         assert verify_parametric_point(p1, -n)
         assert verify_parametric_point(p2, -n)
 
@@ -178,12 +181,12 @@ class TestGeneralFamily:
 
 class TestEulerFamilyPoints:
     def test_symbolic_on_curve(self):
-        n = euler_n_poly()
+        n = EULER_N
         for p in euler_family_points():
             assert verify_parametric_point(p, -n)
 
     def test_associated_points_symbolic(self):
-        n = euler_n_poly()
+        n = EULER_N
         q1, q2 = euler_associated_points()
         assert verify_parametric_point(q1, 4 * n)
         assert verify_parametric_point(q2, 4 * n)
@@ -191,7 +194,7 @@ class TestEulerFamilyPoints:
 
     def test_transferred_x_match_printed(self):
         p1, p2, p3, p4 = euler_family_points()
-        x3, x4 = printed_transfer_x()
+        x3, x4 = PRINTED_TRANSFER_X
         assert same_x(p3, *x3)
         assert same_x(p4, *x4)
         assert not same_x(p3, *x4)
@@ -236,7 +239,7 @@ class TestEulerFamilyPoints:
         assert x4.denominator == 9801 == 99**2
 
     def test_round_trip_random_specializations(self, rng):
-        n = euler_n_poly()
+        n = EULER_N
         pts = euler_family_points()
         done = 0
         while done < 12:
@@ -261,7 +264,7 @@ def _reference_specialize(pt: ParametricPoint, u: Fraction):
     one = Fraction(1)
     x, y, z = (f.evaluate(u, one) for f in (pt.x, pt.y, pt.z))
     q = u.denominator
-    return -euler_n_poly().evaluate(u, one) * q**28, q**14 * x / z**2, q**21 * y / z**3
+    return -EULER_N.evaluate(u, one) * q**28, q**14 * x / z**2, q**21 * y / z**3
 
 
 def _non_degenerate_u(rng, count):
@@ -296,7 +299,7 @@ class TestEulerIntegralModel:
 
 class TestVerifyParametricPoint:
     def test_negative(self):
-        n = euler_n_poly()
+        n = EULER_N
         one = BinaryForm.const(UW, 1)
         bad = ParametricPoint(BinaryForm.const(UW, 0), one, one)
         assert not verify_parametric_point(bad, -n)
@@ -339,7 +342,7 @@ class TestSolutionTable:
     def test_row_products_are_the_curve_coefficients(self):
         """d*e = -N on the curve and 4N on the associated curve, as forms."""
         for name, (d, e, *_) in SOLUTIONS.items():
-            n = general_n_poly() if name.startswith("general-") else euler_n_poly()
+            n = M4N4 if name.startswith("general-") else EULER_N
             assert d * e == (4 * n if name.endswith("-associated") else -n), name
 
     def test_one_row_feeds_its_identity_and_its_point(self, monkeypatch):
@@ -368,6 +371,31 @@ class TestSolutionTable:
 
         assert len(helpers) == 2 and all(calls(f) for f in helpers)
         assert calls(tree) == sorted(line for f in helpers for line in calls(f))
+
+
+@pytest.mark.parametrize(
+    "module, owners",
+    [(biquad.families, ["_specialize", "euler_n"]), (biquad.cli, ["_check_n_digits"])],
+)
+def test_n_evaluated_in_one_place(module, owners):
+    """Every .evaluate( call in families sits in _specialize, which evaluates
+    a family's factor tuple, or in euler_n, which evaluates EULER_N; in cli
+    it sits in _check_n_digits.  The getters of N's forms are gone."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def calls(node):
+        return sorted(
+            n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "evaluate"
+        )
+
+    assert all(calls(defs[name]) for name in owners)
+    assert calls(tree) == sorted(line for name in owners for line in calls(defs[name]))
+    gone = ("general_n_poly", "euler_n_poly", "euler_n_factors", "printed_transfer_x")
+    submodules = pkgutil.iter_modules(biquad.__path__, "biquad.")
+    for mod in [biquad, *(importlib.import_module(m.name) for m in submodules)]:
+        assert not any(hasattr(mod, name) for name in gone), mod.__name__
 
 
 class TestIdentitySuite:
