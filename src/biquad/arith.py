@@ -144,8 +144,6 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

@@ -1,7 +1,9 @@
 """Parametric families of curves and points built from fourth-power sums.
 
 Every polynomial here is a binary form: in (m, n) for the general family
-and in (u, w) for Euler's, whose parameter is the ratio u/w.
+and in (u, w) for Euler's, whose parameter is the ratio u/w.  A form is
+its coefficient tuple, so (m, n) and (u, w) name the same two variables
+by position: M and U are the first, N and W the second.
 
 * general: y^2 = x^3 - (m^4 + n^4)x with two parametric points coming from
   quartic-space solutions at d = -1 (on the curve) and d = 2 (on the
@@ -45,10 +47,7 @@ from .arith import ArithDomainError
 from .curves import Curve, Point, dual_isogeny, lift
 from .poly import BinaryForm, PolyUsageError
 
-UW = ("u", "w")
-MN = ("m", "n")
-U, W = BinaryForm.var(UW, "u"), BinaryForm.var(UW, "w")
-M, N = BinaryForm.var(MN, "m"), BinaryForm.var(MN, "n")  # N: the variable n
+U, W = M, N = BinaryForm([0, 1]), BinaryForm([1, 0])  # N: the variable n
 
 
 class DegenerateSpecializationError(ArithDomainError):
@@ -75,23 +74,23 @@ class ParametricPoint:
 
 
 # Euler's quadruple: four forms of degree 7 with A^4 + B^4 = C^4 + D^4
-A = BinaryForm(UW, [0, 1, 3, -2, 0, 1, 0, 1])
-B = BinaryForm(UW, [1, 0, 1, 0, -2, -3, 1, 0])
-C = BinaryForm(UW, [0, 1, -3, -2, 0, 1, 0, 1])
-D = BinaryForm(UW, [1, 0, 1, 0, -2, 3, 1, 0])
+A = BinaryForm([0, 1, 3, -2, 0, 1, 0, 1])
+B = BinaryForm([1, 0, 1, 0, -2, -3, 1, 0])
+C = BinaryForm([0, 1, -3, -2, 0, 1, 0, 1])
+D = BinaryForm([1, 0, 1, 0, -2, 3, 1, 0])
 # the even factors of N = A^4 + B^4, of degrees 4, 8, 8, 8
-F1 = BinaryForm(UW, [1, 0, 6, 0, 1])
-F2 = BinaryForm(UW, [1, 0, 0, 0, -1, 0, 0, 0, 1])
-F3 = BinaryForm(UW, [1, 0, -4, 0, 8, 0, -4, 0, 1])
-F4 = BinaryForm(UW, [1, 0, 2, 0, 11, 0, 2, 0, 1])
+F1 = BinaryForm([1, 0, 6, 0, 1])
+F2 = BinaryForm([1, 0, 0, 0, -1, 0, 0, 0, 1])
+F3 = BinaryForm([1, 0, -4, 0, 8, 0, -4, 0, 1])
+F4 = BinaryForm([1, 0, 2, 0, 11, 0, 2, 0, 1])
 M4N4 = M**4 + N**4  # the general family's N
 # each family's N as the tuple of its factor forms, and Euler's N itself
 GENERAL_FACTORS = (M4N4,)
 EULER_FACTORS = (F1, F2, F3, F4)
 EULER_N = F1 * F2 * F3 * F4
 # the forms of degrees 10 and 6 in the points Q2 and P1
-T10 = BinaryForm(UW, [1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
-Y1FAC = BinaryForm(UW, [-5, 0, 4, 0, 1, 0, 1])
+T10 = BinaryForm([1, 0, 4, 0, 6, 0, 3, 0, -4, 0, 2])
+Y1FAC = BinaryForm([-5, 0, 4, 0, 1, 0, 1])
 
 
 def euler_quadruple() -> tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]:
@@ -111,16 +110,16 @@ def euler_n(u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-_ONE_MN, _ONE_UW = BinaryForm.const(MN, 1), BinaryForm.const(UW, 1)
+_ONE = BinaryForm([1])
 
 # name: (d, e, U, V, H), in the suite's order; the associated rows give
 # general P2 and Euler's Q1, Q2, and powers of w pad to one degree
 SOLUTIONS = {
-    "general-space-d-minus1": (-1, M4N4, N, _ONE_MN, -(M**2)),
-    "general-space-d2-associated": (2, 2 * M4N4, M + N, _ONE_MN, 2 * (M**2 + M * N + N**2)),
-    "euler-space-d-f2f4": (F2 * F4, -(F1 * F3), _ONE_UW, W, U**2 * Y1FAC),
-    "euler-space-d-minus1": (-1, EULER_N, A, _ONE_UW, -(B**2)),
-    "euler-space-d2-associated": (2, 2 * EULER_N, A + B, _ONE_UW, 2 * (A**2 + A * B + B**2)),
+    "general-space-d-minus1": (-1, M4N4, N, _ONE, -(M**2)),
+    "general-space-d2-associated": (2, 2 * M4N4, M + N, _ONE, 2 * (M**2 + M * N + N**2)),
+    "euler-space-d-f2f4": (F2 * F4, -(F1 * F3), _ONE, W, U**2 * Y1FAC),
+    "euler-space-d-minus1": (-1, EULER_N, A, _ONE, -(B**2)),
+    "euler-space-d2-associated": (2, 2 * EULER_N, A + B, _ONE, 2 * (A**2 + A * B + B**2)),
     "euler-space-d4f2f3-associated": (4 * F2 * F3, F1 * F4, U, W**2, T10),
 }
 
@@ -262,7 +261,7 @@ def identity_suite(mutate: bool = False) -> list[tuple[str, bool]]:
     which must break the quadruple balance (negative-control hook for the
     CLI); the points and the quartic spaces keep the true quadruple.
     """
-    a = A + BinaryForm(UW, [0] * 7 + [1]) if mutate else A
+    a = A + BinaryForm([0] * 7 + [1]) if mutate else A
     results = []
     results.append(("euler-quadruple-balance", a**4 + B**4 == C**4 + D**4))
     results.append(

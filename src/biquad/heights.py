@@ -159,9 +159,8 @@ def _det(m: list[list[float]]) -> float:
 
 
 def log_big(n: int) -> float:
-    """Natural log of a positive integer of any size."""
-    if n <= 0:
-        raise ValueError("log_big needs a positive integer")
+    """Natural log of a positive integer of any size (the shift keeps the
+    sign, so math.log raises ValueError at n <= 0)."""
     k = max(n.bit_length() - 53, 0)
     return math.log(n >> k) + k * math.log(2)
 

@@ -2,11 +2,12 @@
 
 Every polynomial of the paper is a binary form, in (m, n) or (u, w), so
 its value at integers is an integer; at a rational u = p/q a form is
-evaluated at (p, q).  This is deliberately minimal: ring operations,
-equality and exact evaluation.  No division, no polynomial GCD, no
-factorization: a rational point of a family is kept as three forms in
-weighted coordinates (see ``families``), so every identity about it is an
-equality of polynomials.
+evaluated at (p, q).  A form is its coefficient tuple and nothing else,
+its two variables named by position only.  This is deliberately minimal:
+ring operations, equality and exact evaluation.  No division, no
+polynomial GCD, no factorization: a rational point of a family is kept as
+three forms in weighted coordinates (see ``families``), so every identity
+about it is an equality of polynomials.
 """
 
 from __future__ import annotations
@@ -15,44 +16,33 @@ from typing import Sequence
 
 
 class PolyUsageError(ValueError):
-    """Mixed variables or degrees, a negative power, or a point with z = 0."""
+    """Mixed degrees, a negative power, or a point with z = 0."""
 
 
 class BinaryForm:
-    """The form sum c_i * x^i * y^(d-i) in vars = (x, y), with d = len(coeffs) - 1.
+    """The form sum c_i * x^i * y^(d-i), with d = len(coeffs) - 1.
 
     The coefficients are listed by the power of x, low degree first, so a
-    form is homogeneous by construction.  The zero form is stored as (0,)
+    form is homogeneous by construction: x is (0, 1), y is (1, 0) and the
+    int c is the constant form (c,).  The zero form is stored as (0,)
     and adds to a form of any degree.  Instances are treated as immutable.
     """
 
-    __slots__ = ("vars", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, vars: Sequence[str], coeffs: Sequence[int]):
-        self.vars = tuple(vars)
+    def __init__(self, coeffs: Sequence[int]):
         self.coeffs = tuple(coeffs)
         if not any(self.coeffs):
             self.coeffs = (0,)
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def const(cls, vars, c: int) -> BinaryForm:
-        return cls(vars, (c,))
-
-    @classmethod
-    def var(cls, vars, name: str) -> BinaryForm:
-        return cls(vars, (1, 0) if tuple(vars).index(name) else (0, 1))
-
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, BinaryForm):
-            if self.vars != other.vars:
-                raise PolyUsageError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
         if isinstance(other, int):
-            return BinaryForm.const(self.vars, other)
+            return BinaryForm((other,))
         return NotImplemented
 
     def __add__(self, other):
@@ -65,10 +55,10 @@ class BinaryForm:
             return other
         if self.degree != other.degree:
             raise PolyUsageError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return BinaryForm(self.vars, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return BinaryForm(self.vars, [-c for c in self.coeffs])
+        return BinaryForm([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -85,24 +75,23 @@ class BinaryForm:
             if a:
                 for j, b in enumerate(other.coeffs, i):
                     out[j] += a * b
-        return BinaryForm(self.vars, out)
+        return BinaryForm(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise PolyUsageError("negative polynomial power")
-        result = BinaryForm.const(self.vars, 1)
+        result = BinaryForm((1,))
         for _ in range(k):
             result = result * self
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = BinaryForm.const(self.vars, other)
-        if not isinstance(other, BinaryForm):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.vars == other.vars and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     # -- queries --------------------------------------------------------
 
@@ -125,4 +114,4 @@ class BinaryForm:
         return value
 
     def __repr__(self):
-        return f"BinaryForm({self.vars!r}, {list(self.coeffs)!r})"
+        return f"BinaryForm({list(self.coeffs)!r})"

@@ -256,6 +256,12 @@ class TestHeight:
         assert code == 1
         assert doc["status"] == "parse_error"
 
+    def test_three_coordinates_rejected(self, capsys):
+        code, doc = run_cli(capsys, "height", "--curve", "-17", "--point", "(1,2,3)")
+        assert code == 1
+        assert doc["status"] == "parse_error"
+        assert doc["error"].startswith("point must have two coordinates")
+
     def test_singular_curve(self, capsys):
         code, doc = run_cli(capsys, "height", "--curve", "0", "--point", "(0,0)")
         assert code == 1
@@ -589,6 +595,17 @@ def test_n_digit_limit_is_exact(monkeypatch, limit):
                 check(params, factors)
         else:
             check(params, factors)
+
+
+def test_digit_check_is_exact():
+    """An integer of limit digits passes, one of limit + 1 digits is a
+    domain_error, on either sign."""
+    limit = sys.get_int_max_str_digits()
+    biquad.cli._check_digits("N", [10**limit - 1, -(10**limit - 1)])
+    for v in (10**limit, -(10**limit)):
+        with pytest.raises(biquad.cli.CliError) as err:
+            biquad.cli._check_digits("N", [v])
+        assert err.value.code == "domain_error"
 
 
 def test_readme_cli_examples(tmp_path):

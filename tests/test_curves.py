@@ -36,6 +36,10 @@ class TestOnCurve:
     def test_identity(self):
         assert on_curve(E17, E17.identity())
 
+    def test_point_off_curve_rejected(self):
+        with pytest.raises(ArithDomainError, match="not on"):
+            E17.point(1, 1)
+
     def test_singular_rejected(self):
         with pytest.raises(ArithDomainError, match="singular curve b=0"):
             Curve(0)

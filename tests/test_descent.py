@@ -130,6 +130,16 @@ class TestSearch:
             with pytest.raises(ArithDomainError):
                 search_solutions(-60, 3, primes)
 
+    def test_oversized_bound_rejected_before_any_table(self, monkeypatch):
+        """A direct call past MAX_BOUND raises before the primes are read or
+        a space table is built (4 is no prime: that would be the next error)."""
+        def no_tables(*args):
+            raise AssertionError("space table built")
+
+        monkeypatch.setattr(descent, "_local_spaces", no_tables)
+        with pytest.raises(ArithDomainError, match="exceeds"):
+            search_solutions(-17, descent.MAX_BOUND + 1, [4])
+
     def test_primes_from_any_iterable(self):
         """The primes are read once: the prime check used to spend an
         iterator, which left only d = +-1 to search and found none of these."""
@@ -283,6 +293,11 @@ class TestRankLowerBound:
         _, pts, _ = specialize_euler(euler_family_points(), 2)
         r = rank_lower_bound(635318657, 2, extra_points=pts)
         assert r.rank_lower_bound >= 2
+
+    def test_identity_among_extra_points_skipped(self):
+        want = rank_lower_bound(17, 10)
+        got = rank_lower_bound(17, 10, extra_points=[Curve(-17).identity()])
+        assert got.to_json() == want.to_json()
 
     def test_wrong_curve_points_rejected(self):
         p = Curve(-2).point(-1, 1)

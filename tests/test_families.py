@@ -44,9 +44,6 @@ from biquad.families import (
 from biquad.poly import BinaryForm, PolyUsageError
 from conftest import euler_parts_oracle, specialize_on
 
-UW = ("u", "w")
-MN = ("m", "n")
-
 
 class TestEulerQuadruple:
     def test_values_at_2_1(self):
@@ -119,8 +116,8 @@ class TestEulerN:
 
     def test_sums_of_squares(self):
         # the identities behind N(p, q) > 0 in euler_degenerate
-        u = BinaryForm.var(UW, "u")
-        w = BinaryForm.var(UW, "w")
+        u = BinaryForm([0, 1])
+        w = BinaryForm([1, 0])
         _, f2, f3, _ = EULER_FACTORS
         assert f2 == (u**4 - w**4) ** 2 + u**4 * w**4
         assert f3 == (u**4 - 2 * u**2 * w**2) ** 2 + (2 * u**2 * w**2 - w**4) ** 2
@@ -228,7 +225,7 @@ class TestEulerFamilyPoints:
 
     def test_x1_at_2_factors(self):
         p1 = euler_family_points()[0]
-        assert p1.z == BinaryForm.var(UW, "w")
+        assert p1.z == BinaryForm([1, 0])
         assert p1.x.evaluate(2, 1) == 241 * 569 == 137129
 
     def test_denominators_at_2(self):
@@ -300,8 +297,8 @@ class TestEulerIntegralModel:
 class TestVerifyParametricPoint:
     def test_negative(self):
         n = EULER_N
-        one = BinaryForm.const(UW, 1)
-        bad = ParametricPoint(BinaryForm.const(UW, 0), one, one)
+        one = BinaryForm([1])
+        bad = ParametricPoint(BinaryForm([0]), one, one)
         assert not verify_parametric_point(bad, -n)
         # P1 has z = w; the same x and y with z = 2w is another point, off the curve
         p1 = euler_family_points()[0]
@@ -311,31 +308,38 @@ class TestVerifyParametricPoint:
 
 class TestParametricPoint:
     def test_zero_z_rejected(self):
-        one = BinaryForm.const(UW, 1)
+        one = BinaryForm([1])
         with pytest.raises(PolyUsageError):
-            ParametricPoint(one, one, BinaryForm.const(UW, 0))
+            ParametricPoint(one, one, BinaryForm([0]))
 
     def test_vanishing_z_is_degenerate(self):
-        u = BinaryForm.var(UW, "u")
-        w = BinaryForm.var(UW, "w")
+        u = BinaryForm([0, 1])
+        w = BinaryForm([1, 0])
         pt = ParametricPoint(u, u, u - 2 * w)
         with pytest.raises(DegenerateSpecializationError, match="vanishes at u = 2"):
             specialize_euler([pt], 2)
+
+
+def test_one_pair_of_variables():
+    """(m, n) and (u, w) name the same two forms by position."""
+    fam = biquad.families
+    assert not any(hasattr(fam, name) for name in ("UW", "MN", "_ONE_MN", "_ONE_UW"))
+    assert fam.M is fam.U and fam.N is fam.W
+    assert (fam.U, fam.W) == (BinaryForm([0, 1]), BinaryForm([1, 0]))
 
 
 class TestSolutionTable:
     def test_unchanged_points_keep_their_forms(self):
         """General P1, Euler P1 and P2, Q1 and Q2 are the lifts of their rows
         and equal, as forms, the points written out by hand."""
-        m, n = BinaryForm.var(MN, "m"), BinaryForm.var(MN, "n")
-        u, w = BinaryForm.var(UW, "u"), BinaryForm.var(UW, "w")
-        one_mn, one_uw, h = BinaryForm.const(MN, 1), BinaryForm.const(UW, 1), A + B
+        u, w = m, n = BinaryForm([0, 1]), BinaryForm([1, 0])
+        one, h = BinaryForm([1]), A + B
         p1, p2, _, _ = euler_family_points()
-        assert general_family_points()[0] == ParametricPoint(-(n**2), m**2 * n, one_mn)
+        assert general_family_points()[0] == ParametricPoint(-(n**2), m**2 * n, one)
         assert p1 == ParametricPoint(F2 * F4, u**2 * Y1FAC * F2 * F4, w)
-        assert p2 == ParametricPoint(-(A**2), A * B**2, one_uw)
+        assert p2 == ParametricPoint(-(A**2), A * B**2, one)
         assert euler_associated_points() == (
-            ParametricPoint(2 * h**2, 4 * h * (A**2 + A * B + B**2), one_uw),
+            ParametricPoint(2 * h**2, 4 * h * (A**2 + A * B + B**2), one),
             ParametricPoint(4 * u**2 * F2 * F3, 4 * u * F2 * F3 * T10, w**2),
         )
 

@@ -53,6 +53,11 @@ class TestNaiveHeight:
         p = c.point(Fraction(365689129, 9801), Fraction(-5156125463944, 970299))
         assert naive_height(p) == pytest.approx(math.log(365689129))
 
+    @pytest.mark.parametrize("n", [0, -5, -(10**400)])
+    def test_log_big_rejects_non_positive(self, n):
+        with pytest.raises(ValueError):
+            log_big(n)
+
     def test_log_big_huge(self):
         assert log_big(10**500) == pytest.approx(500 * math.log(10))
 
@@ -516,6 +521,24 @@ class TestRegulator:
     def test_empty_rejected(self):
         with pytest.raises(HeightUsageError):
             gram_matrix([])
+
+    def test_large_error_bound_is_the_threshold(self, monkeypatch):
+        """With each height off by up to 0.2 the determinant of the (2, 1)
+        witness, 1.857, is below its error bound (about 4.9): no verdict."""
+        exact = canonical_height
+        monkeypatch.setattr(
+            biquad.heights, "canonical_height", lambda p: HeightValue(exact(p).value, 0.2)
+        )
+        rep = regulator_report(family_curve_points(2, 1))
+        assert 1.8 < float(rep["determinant"]) < float(rep["error_bound"])
+        assert rep["independent"] is False and rep["rank_lower_bound"] == 0
+        assert rep["threshold"] == rep["error_bound"]
+
+    def test_det_error_bound(self):
+        """n * n! * (max |entry| + e)^(n-1) * e, and 0 for no entries."""
+        gm = GramMatrix((), ((2.0, 0.5), (0.5, 1.0)), 0.01)
+        assert gm.det_error_bound() == pytest.approx(2 * 2 * (2.0 + 0.01) * 0.01, rel=1e-12)
+        assert GramMatrix((), (), 0.0).det_error_bound() == 0.0
 
     def test_mixed_curves_rejected(self):
         p1, p2 = family_curve_points(2, 1)

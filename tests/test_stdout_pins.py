@@ -1,5 +1,6 @@
-"""One sha256 of (exit code, stdout) per argv, over a sweep of every verb
-but search and height: a refactor must leave all of them byte-identical.
+"""One sha256 of (exit code, stdout) per argv, over a sweep of every verb:
+a refactor must leave all of them byte-identical.  The height runs take
+the family points themselves, so the sweep is built from ``families``.
 
 A change that alters stdout on purpose re-records the pins with
 
@@ -13,16 +14,36 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 from biquad.cli import main
+from biquad.families import (
+    euler_associated_points,
+    euler_family_points,
+    general_family_points,
+    specialize_euler,
+    specialize_general,
+)
 
 PINS = Path(__file__).parent / "data" / "stdout_pins.json"
 TABLE = Path(__file__).resolve().parent.parent / "src" / "biquad" / "data" / "decompositions.json"
 
 
+def _height(b: int, x: Fraction, y: Fraction) -> list[str]:
+    return ["height", "--curve", str(b), "--point", f"({x},{y})"]
+
+
+def _associated(u: Fraction) -> list[list[str]]:
+    """height of Q1 and Q2 at u = p/q on y^2 = x^3 + 4N(p, q)*x."""
+    curve, _, _ = specialize_euler((), u)
+    p, q = u.numerator, u.denominator
+    values = [[f.evaluate(p, q) for f in (pt.x, pt.y, pt.z)] for pt in euler_associated_points()]
+    return [_height(-4 * curve.b, Fraction(x, z * z), Fraction(y, z**3)) for x, y, z in values]
+
+
 def sweep() -> list[list[str]]:
-    """1,058 argv: degenerate, rejected and oversized inputs among them."""
+    """1,132 argv: degenerate, rejected and oversized inputs among them."""
     cases = [
         ["theorem2", f"--u={p}/{q}"]
         for q in range(1, 13)
@@ -48,6 +69,16 @@ def sweep() -> list[list[str]]:
     ]
     cases += [["theorem2", f"--u={u}"] for u in ("1000003/7", "99991/10007", "1e5000", "1e160")]
     cases += [["descent", "--N", "17", "--bound", bound] for bound in ("10001", "-1")]
+    for n in range(2, 9):
+        for m in range(1, n):
+            if math.gcd(m, n) == 1:
+                curve, points, _ = specialize_general(general_family_points(), m, n)
+                cases += [_height(curve.b, pt.x, pt.y) for pt in points]
+    for u in map(Fraction, ("2", "5/3", "3/2", "7/12")):
+        curve, points, _ = specialize_euler(euler_family_points(), u)
+        cases += [_height(curve.b, pt.x, pt.y) for pt in points] + _associated(u)
+    # 635318657 = 59^4 + 158^4 = 133^4 + 134^4 first appears at limit 158
+    cases += [["search", "--limit", str(L)] for L in (2, 100, 157, 158, 300, 600, 960, 1500)]
     return cases
 
 
@@ -61,7 +92,7 @@ def pin(argv: list[str]) -> str:
 def test_stdout_pins():
     pins = json.loads(PINS.read_text())
     cases = sweep()
-    assert len(cases) == 1058 and sorted(pins) == sorted(" ".join(a) for a in cases)
+    assert len(cases) == 1132 and sorted(pins) == sorted(" ".join(a) for a in cases)
     differ = [" ".join(a) for a in cases if pin(a) != pins[" ".join(a)]]
     assert not differ, f"{len(differ)} argv changed stdout or exit code: {differ}"
 
