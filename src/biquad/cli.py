@@ -12,7 +12,9 @@ whose witness point coordinates, would have more digits than that lets
 puts it past that many digits) gives ``domain_error``.  A negative
 fraction must be joined to its flag, as in ``--u=-5/3``: argparse reads
 ``--u -5/3`` as a missing value and exits 2 with a usage error.
-Negative integers such as ``--m -2`` parse either way.
+Negative integers such as ``--m -2`` parse either way.  Past argparse,
+any other exception is a bug, never bad input: it prints status
+``internal_error`` and exits 2.
 
 Subcommands:
 
@@ -319,7 +321,7 @@ def main(argv=None) -> int:
         return _fail("degenerate", exc)
     except ArithDomainError as exc:
         return _fail("domain_error", exc)
-    except Exception as exc:  # pragma: no cover - unexpected failure path
+    except Exception as exc:  # a bug: bad input past argparse has a status above
         return _fail("internal_error", exc, 2)
 
 

@@ -129,24 +129,6 @@ class HeightValue:
     abs_error: float
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    points: tuple
-    entries: tuple          # rows of floats
-    entry_error: float      # uniform per-entry bound
-
-    def determinant(self) -> float:
-        return _det([list(r) for r in self.entries])
-
-    def det_error_bound(self) -> float:
-        n = len(self.entries)
-        if n == 0:
-            return 0.0
-        a = max((abs(x) for row in self.entries for x in row), default=0.0)
-        a += self.entry_error
-        return n * math.factorial(n) * a ** (n - 1) * self.entry_error
-
-
 def _det(m: list[list[float]]) -> float:
     n = len(m)
     if n == 1:
@@ -281,10 +263,17 @@ def canonical_height(p: Point) -> HeightValue:
     return HeightValue(value, err)
 
 
-def gram_matrix(points) -> GramMatrix:
-    """Pairings (hhat(p+q) - hhat(p) - hhat(q)) / 2, from n(n+1)/2 heights:
-    hhat(P_i) on the diagonal and one height per sum P_i + P_j, i < j."""
-    points = tuple(points)
+# a Gram determinant above this (and above its own error bound) certifies
+# linear independence
+INDEPENDENCE_TOLERANCE = 0.01
+
+
+def regulator_report(points) -> dict:
+    """Gram matrix of the height pairings (hhat(p+q) - hhat(p) - hhat(q)) / 2,
+    its determinant, error bound and independence verdict, from n(n+1)/2
+    heights: hhat(P_i) on the diagonal and one height per sum P_i + P_j,
+    i < j."""
+    points = list(points)
     if not points:
         raise HeightUsageError("empty point list")
     if any(p.curve != points[0].curve for p in points):
@@ -292,35 +281,27 @@ def gram_matrix(points) -> GramMatrix:
     h = [canonical_height(p) for p in points]
     n = len(points)
     entries = [[0.0] * n for _ in range(n)]
-    worst = max(x.abs_error for x in h)
+    e = max(x.abs_error for x in h)  # uniform per-entry bound
     for i in range(n):
         entries[i][i] = h[i].value
         for j in range(i + 1, n):
             hs = canonical_height(add(points[i], points[j]))
             entries[i][j] = entries[j][i] = (hs.value - h[i].value - h[j].value) / 2
-            worst = max(worst, (hs.abs_error + h[i].abs_error + h[j].abs_error) / 2)
-    return GramMatrix(points, tuple(tuple(r) for r in entries), worst)
-
-
-# a Gram determinant above this (and above its own error bound) certifies
-# linear independence
-INDEPENDENCE_TOLERANCE = 0.01
-
-
-def regulator_report(points) -> dict:
-    """Determinant, entries, error bound and independence verdict."""
-    gm = gram_matrix(points)
-    det = gm.determinant()
-    err = gm.det_error_bound()
+            e = max(e, (hs.abs_error + h[i].abs_error + h[j].abs_error) / 2)
+    det = _det(entries)
+    # n! terms of n factors, each off by at most e: a term moves by at most
+    # n * a^(n-1) * e, with a the largest |entry| plus e
+    a = max(abs(x) for row in entries for x in row) + e
+    err = n * math.factorial(n) * a ** (n - 1) * e
     threshold = max(INDEPENDENCE_TOLERANCE, err)
     return {
-        "points": [p.to_json() for p in gm.points],
-        "gram": [[f"{x:.12f}" for x in row] for row in gm.entries],
+        "points": [p.to_json() for p in points],
+        "gram": [[f"{x:.12f}" for x in row] for row in entries],
         # a Gram determinant is >= 0; a float just below 0 is cancellation
         # (max(0.0, -0.0) is 0.0, so no "-0" either)
         "determinant": f"{max(0.0, det):.12f}",
-        "error_bound": f"{max(err, gm.entry_error):.3e}",
+        "error_bound": f"{max(err, e):.3e}",
         "threshold": f"{threshold:.3e}",
         "independent": bool(det > threshold),
-        "rank_lower_bound": len(gm.points) if det > threshold else 0,
+        "rank_lower_bound": n if det > threshold else 0,
     }

@@ -767,3 +767,19 @@ class TestOutputContract:
         captured = capsys.readouterr()
         assert code == 1
         assert "error" in captured.err
+
+    def test_internal_error_is_a_bug(self, capsys, monkeypatch):
+        """An exception no subcommand maps to a status is a bug, never bad
+        input: one internal_error document, one stderr line, exit 2.  The
+        global is patched because the cached parser has bound cmd_search."""
+
+        def broken(limit):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(biquad.cli, "twin_search", broken)
+        code = main(["search", "--limit", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {"status": "internal_error", "error": "boom"}
+        assert captured.err == "error: boom\n"

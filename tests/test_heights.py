@@ -13,15 +13,14 @@ from biquad.arith import factorize
 from biquad.curves import Curve, add, scalar_mul
 from biquad.heights import (
     _TARGET,
-    GramMatrix,
     HeightUsageError,
     HeightValue,
     _curve_constants,
+    _det,
     _green,
     _is_torsion,
     _part,
     canonical_height,
-    gram_matrix,
     log_big,
     naive_height,
     regulator_report,
@@ -461,33 +460,72 @@ class TestIsTorsion:
             self.check(curve.point(0, 0))
 
 
+def recorded_report(monkeypatch, points):
+    """regulator_report(points) with what it computes from: each height it
+    takes, as (point, HeightValue), and the float Gram matrix it takes the
+    determinant of (the first matrix _det sees; it recurses on minors).
+    The heights are those of biquad.heights.canonical_height as it stands,
+    patched or not."""
+    heights, matrices = [], []
+    exact = biquad.heights.canonical_height
+
+    def height(p):
+        heights.append((p, exact(p)))
+        return heights[-1][1]
+
+    monkeypatch.setattr(biquad.heights, "canonical_height", height)
+    monkeypatch.setattr(biquad.heights, "_det", lambda m: matrices.append(m) or _det(m))
+    rep = regulator_report(points)
+    return rep, heights, matrices[0]
+
+
+def report_of_entries(monkeypatch, entries, errors):
+    """regulator_report on len(entries) points whose heights are patched so
+    that its Gram matrix is entries: hhat(P_i) is entries[i][i] with error
+    errors[i], and hhat(P_i + P_j) is
+    2 entries[i][j] + entries[i][i] + entries[j][j] with error 0, so the
+    pairing's error is (errors[i] + errors[j]) / 2."""
+    p1, p2 = family_curve_points(2, 1)
+    pts = [p1, p2, scalar_mul(2, p1)][: len(entries)]
+    given = {p: HeightValue(entries[i][i], errors[i]) for i, p in enumerate(pts)}
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            value = 2 * entries[i][j] + entries[i][i] + entries[j][j]
+            given[add(pts[i], pts[j])] = HeightValue(value, 0.0)
+    monkeypatch.setattr(biquad.heights, "canonical_height", given.__getitem__)
+    rep, _, gram = recorded_report(monkeypatch, pts)
+    assert gram == [list(row) for row in entries]
+    return rep
+
+
 class TestHeightPairing:
-    def test_identity_pairing(self):
+    def test_identity_pairing(self, monkeypatch):
         p = E17.point(-1, 4)
-        pairing = gram_matrix((p, E17.identity())).entries[0][1]
-        assert pairing == pytest.approx(0.0, abs=1e-9)
+        _, _, gram = recorded_report(monkeypatch, (p, E17.identity()))
+        assert gram[0][1] == pytest.approx(0.0, abs=1e-9)
 
-    def test_self_pairing_is_height(self):
+    def test_self_pairing_is_height(self, monkeypatch):
         p = E17.point(-1, 4)
-        assert gram_matrix((p, p)).entries[0][1] == pytest.approx(
-            canonical_height(p).value, abs=1e-9
-        )
+        _, _, gram = recorded_report(monkeypatch, (p, p))
+        assert gram[0][1] == pytest.approx(canonical_height(p).value, abs=1e-9)
 
-    def test_negation_pairing(self):
+    def test_negation_pairing(self, monkeypatch):
         p = E17.point(-1, 4)
-        assert gram_matrix((p, -p)).entries[0][1] == pytest.approx(
-            -canonical_height(p).value, abs=1e-9
-        )
+        _, _, gram = recorded_report(monkeypatch, (p, -p))
+        assert gram[0][1] == pytest.approx(-canonical_height(p).value, abs=1e-9)
 
-    def test_different_curves_rejected(self):
-        with pytest.raises(HeightUsageError):
-            gram_matrix((E17.point(-1, 4), Curve(-2).point(-1, 1)))
+    def test_different_curves_rejected(self, monkeypatch):
+        heights = []
+        monkeypatch.setattr(biquad.heights, "canonical_height", heights.append)
+        with pytest.raises(HeightUsageError, match="points on one curve"):
+            regulator_report((E17.point(-1, 4), Curve(-2).point(-1, 1)))
+        assert heights == []
 
 
 class TestRegulator:
     def test_rank2_witness(self):
         p1, p2 = family_curve_points(2, 1)
-        assert gram_matrix([p1, p2]).determinant() > 0.05
+        assert float(regulator_report([p1, p2])["determinant"]) > 0.05
 
     def test_rank4_witness(self):
         from biquad.families import euler_family_points, specialize_euler
@@ -498,10 +536,11 @@ class TestRegulator:
         assert float(rep["error_bound"]) < 0.01
         assert rep["independent"]
 
-    def test_dependent_rows(self):
+    def test_dependent_rows(self, monkeypatch):
         p = E17.point(-1, 4)
-        gm = gram_matrix([p, scalar_mul(2, p)])
-        assert abs(gm.determinant()) <= max(0.01, gm.det_error_bound())
+        rep, _, gram = recorded_report(monkeypatch, [p, scalar_mul(2, p)])
+        assert abs(_det(gram)) <= float(rep["threshold"])
+        assert not rep["independent"]
 
     def test_repeated_point(self):
         p = E17.point(-1, 4)
@@ -518,9 +557,14 @@ class TestRegulator:
         for pts in ([p1, p2], [p1, p1], [p1, scalar_mul(2, p1)], [p2, scalar_mul(-3, p2)]):
             assert not regulator_report(pts)["determinant"].startswith("-")
 
-    def test_empty_rejected(self):
-        with pytest.raises(HeightUsageError):
-            gram_matrix([])
+    def test_empty_rejected(self, monkeypatch):
+        heights = []
+        monkeypatch.setattr(biquad.heights, "canonical_height", heights.append)
+        with pytest.raises(HeightUsageError, match="empty point list"):
+            regulator_report([])
+        with pytest.raises(HeightUsageError, match="empty point list"):
+            regulator_report(iter(()))
+        assert heights == []
 
     def test_large_error_bound_is_the_threshold(self, monkeypatch):
         """With each height off by up to 0.2 the determinant of the (2, 1)
@@ -534,21 +578,37 @@ class TestRegulator:
         assert rep["independent"] is False and rep["rank_lower_bound"] == 0
         assert rep["threshold"] == rep["error_bound"]
 
-    def test_det_error_bound(self):
-        """n * n! * (max |entry| + e)^(n-1) * e, and 0 for no entries."""
-        gm = GramMatrix((), ((2.0, 0.5), (0.5, 1.0)), 0.01)
-        assert gm.det_error_bound() == pytest.approx(2 * 2 * (2.0 + 0.01) * 0.01, rel=1e-12)
-        assert GramMatrix((), (), 0.0).det_error_bound() == 0.0
+    def test_det_error_bound(self, monkeypatch):
+        """n * n! * (max |entry| + e)^(n-1) * e, both as the error bound and
+        as the threshold, at n = 2 and at n = 3 (where n * n! is 18, not
+        n^2 or 2^n).  e is the worst entry error, diagonal ones included:
+        with diagonal errors 0.01 and 0.0 the pairing's error is only
+        0.005, and e is still 0.01."""
+        gram = ((2.0, 0.5), (0.5, 1.0))
+        bound = f"{2 * 2 * (2.0 + 0.01) * 0.01:.3e}"
+        for errors in ((0.01, 0.01), (0.01, 0.0), (0.0, 0.01)):
+            rep = report_of_entries(monkeypatch, gram, errors)
+            assert rep["error_bound"] == rep["threshold"] == bound == "8.040e-02"
+            assert rep["determinant"] == "1.750000000000" and rep["independent"]
 
-    def test_mixed_curves_rejected(self):
-        p1, p2 = family_curve_points(2, 1)
-        with pytest.raises(HeightUsageError):
-            gram_matrix([p1, p2, Curve(-2).point(-1, 1)])
+        entries = ((2.0, 0.5, 0.25), (0.5, 1.0, -0.5), (0.25, -0.5, 3.0))
+        rep = report_of_entries(monkeypatch, entries, (0.01, 0.01, 0.01))
+        bound = f"{3 * 6 * (3.0 + 0.01) ** 2 * 0.01:.3e}"
+        assert rep["error_bound"] == rep["threshold"] == bound == "1.631e+00"
 
-    def test_gram_symmetric(self):
+    def test_mixed_curves_rejected(self, monkeypatch):
         p1, p2 = family_curve_points(2, 1)
-        gm = gram_matrix([p1, p2])
-        assert gm.entries[0][1] == gm.entries[1][0]
+        heights = []
+        monkeypatch.setattr(biquad.heights, "canonical_height", heights.append)
+        with pytest.raises(HeightUsageError, match="points on one curve"):
+            regulator_report([p1, p2, Curve(-2).point(-1, 1)])
+        assert heights == []
+
+    def test_gram_symmetric(self, monkeypatch):
+        p1, p2 = family_curve_points(2, 1)
+        rep, _, gram = recorded_report(monkeypatch, [p1, p2])
+        assert gram[0][1] == gram[1][0]
+        assert rep["gram"][0][1] == rep["gram"][1][0]
 
     def test_report_json_shape(self):
         p1, p2 = family_curve_points(2, 1)
@@ -573,7 +633,7 @@ def general_parameters(draw):
 
 
 class TestGramDiagonal:
-    """gram_matrix reads its diagonal as hhat(P) rather than through 2P:
+    """regulator_report reads its diagonal as hhat(P) rather than through 2P:
     the two agree because hhat(2P) = 4 hhat(P), which holds here within
     the two heights' error bounds."""
 
@@ -597,13 +657,32 @@ class TestGramDiagonal:
         for p in family_curve_points(*mn):
             self.check(p)
 
-    def test_diagonal_is_height(self):
+    def test_diagonal_is_height(self, monkeypatch):
+        """The report takes n + n(n-1)/2 heights, of the P_i and then of
+        the sums P_i + P_j (i < j) in order, none of a 2P_i; its per-entry
+        bound e is the worst of the diagonal errors and the pairings'
+        (hhat(P_i + P_j), hhat(P_i), hhat(P_j) errors) / 2, and the printed
+        bound is n * n! * (max |entry| + e)^(n-1) * e at that e."""
         pts, _ = euler_gram_points(Fraction(5, 3))
-        gm = gram_matrix(pts)
+        n = len(pts)
+        rep, heights, gram = recorded_report(monkeypatch, pts)
+        sums = [add(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n)]
+        assert [p for p, _ in heights] == pts + sums
+        assert not {add(p, p) for p in pts} & {p for p, _ in heights}
+        diag = [h for _, h in heights[:n]]
+        pair_errors = iter(h.abs_error for _, h in heights[n:])
+        e = max(h.abs_error for h in diag)
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = max(e, (next(pair_errors) + diag[i].abs_error + diag[j].abs_error) / 2)
         for i, p in enumerate(pts):
             h = canonical_height(p)
-            assert gm.entries[i][i] == h.value
-            assert gm.entry_error >= h.abs_error
+            assert diag[i] == h
+            assert gram[i][i] == h.value
+            assert e >= h.abs_error
+        a = max(abs(x) for row in gram for x in row) + e
+        err = n * math.factorial(n) * a ** (n - 1) * e
+        assert rep["error_bound"] == f"{max(err, e):.3e}"
 
 
 class TestCurveConstants:

@@ -116,3 +116,19 @@ def test_a_form_is_its_coefficients():
     assert not any(hasattr(BinaryForm, name) for name in ("vars", "const", "var"))
     assert repr(BinaryForm([1, 0, 0, 0, 1])) == "BinaryForm([1, 0, 0, 0, 1])"
     assert BinaryForm([2]) == 2 and BinaryForm([0, 0]) == 0
+
+
+def test_only_int_operands():
+    """A form takes ints and forms as operands and nothing else, so no
+    operator puts a non-integer coefficient into a form."""
+    f = BinaryForm([1, 0, 2])
+    for op in (
+        lambda: f + 1.5,
+        lambda: f - 0.5,
+        lambda: f * Fraction(1, 2),
+        lambda: Fraction(1, 2) * f,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert (f == "x") is False
+    assert f * 2 == 2 * f == BinaryForm([2, 0, 4])

@@ -2,11 +2,13 @@
 a refactor must leave all of them byte-identical.  The height runs take
 the family points themselves, so the sweep is built from ``families``.
 
-A change that alters stdout on purpose re-records the pins with
+A change that alters stdout on purpose re-records the pins, and the
+"stdout" and "code" fields of every case in golden_cli.json, with
 
     PYTHONPATH=src python tests/test_stdout_pins.py
 
-and names them in CHANGES.md, as for golden_cli.json.
+and names the changed ones in CHANGES.md.  On an unchanged tree it leaves
+both files byte-identical.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ from biquad.families import (
 )
 
 PINS = Path(__file__).parent / "data" / "stdout_pins.json"
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 TABLE = Path(__file__).resolve().parent.parent / "src" / "biquad" / "data" / "decompositions.json"
 
 
@@ -82,11 +85,29 @@ def sweep() -> list[list[str]]:
     return cases
 
 
-def pin(argv: list[str]) -> str:
+def run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of the CLI on argv."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    return code, out.getvalue()
+
+
+def pin(argv: list[str]) -> str:
+    code, out = run(argv)
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+def golden_text(cases: list[dict]) -> str:
+    """golden_cli.json as written: per case one ' {"argv": ...' line, with
+    "code" only when it is nonzero, then its '  "stdout": ...' line."""
+    lines = [
+        f' {{"argv": {json.dumps(c["argv"])}'
+        + (f', "code": {c["code"]}' if c.get("code") else "")
+        + f',\n  "stdout": {json.dumps(c["stdout"])}}}'
+        for c in cases
+    ]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def test_stdout_pins():
@@ -97,5 +118,16 @@ def test_stdout_pins():
     assert not differ, f"{len(differ)} argv changed stdout or exit code: {differ}"
 
 
+def test_golden_layout():
+    """The recorder writes golden_cli.json back in the layout it has."""
+    text = GOLDEN.read_text()
+    assert golden_text(json.loads(text)) == text
+
+
 if __name__ == "__main__":
     PINS.write_text(json.dumps({" ".join(a): pin(a) for a in sweep()}, indent=0) + "\n")
+    cases = []
+    for case in json.loads(GOLDEN.read_text()):
+        code, out = run(case["argv"])
+        cases.append({"argv": case["argv"], "code": code, "stdout": out})
+    GOLDEN.write_text(golden_text(cases))
